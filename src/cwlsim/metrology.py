@@ -13,19 +13,33 @@ and variance follow exactly from the normally ordered port-a moments
 Fisher information of the state after the first splitter under the balanced
 relative-phase generator (n_a - n_b)/2, which reproduces shot noise
 1/sqrt(N_a + N_b) for coherent light at both ports.
+
+Because port b holds the pure state |beta>, beta = sqrt(N_b), the input
+state rho_a (x) |beta><beta| has eigenvectors e_i (x) |beta>, where
+rho_a = sum_i l_i e_i e_i+.  The splitter rotates the generator into
+J_y = (a+ b - a b+)/2i (up to a sign that F_Q does not see), whose matrix
+elements between those eigenvectors reduce to port a:
+<e_i, beta|J_y|e_j, beta> = <e_i|A|e_j> with A = (beta a+ - beta* a)/2i,
+and <beta|J_y^2|beta> = G2 = -(beta^2 a+^2 - (N_b+1) a+ a - N_b a a+
++ beta*^2 a^2)/4.  Writing the mixed-state Fisher information as
+4 sum_i l_i <G^2>_i minus its coherence term then gives the exact form
+
+    F_Q = 4 Tr[rho_a G2] - 8 sum_ij l_i l_j / (l_i + l_j) |<e_i|A|e_j>|^2,
+
+evaluated on rho_a padded by two Fock levels.  The dense two-mode
+construction in tests/metrology_oracles.py serves as its oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh, expm
+from scipy.linalg import eigh
 
 from .errors import ConfigError, CutoffConvergenceError
-from .hilbert import DensityMatrix, coherent_state, default_coherent_cutoff, pad_fock
+from .hilbert import DensityMatrix, pad_fock
 
 MAX_MOMENT_ORDER = 4
 DERIV_FLOOR_REL = 1e-9
@@ -73,8 +87,6 @@ class MZResult:
     N_a: float  # mean photon number at port a
     N_a_baseline: float  # photon number entering the shot-noise reference
     N_b: float
-    delta_phi_cr: float | None = None
-    improvement_cr: float | None = None
 
 
 MOMENT_CUTOFF_MARGIN = 8  # extra Fock levels for metrology-grade moments
@@ -292,125 +304,40 @@ def squeezed_reference(N_a_match: float, N_b: float, phi_grid=None) -> MZResult:
 
 
 # ---------------------------------------------------------------------------
-# two-mode constructions: beam splitter, dense oracle, quantum bound
+# quantum bound
 
 
-@lru_cache(maxsize=8)
-def beam_splitter_unitary(dim_a: int, dim_b: int) -> np.ndarray:
-    """50/50 beam splitter exp(i pi/4 (a+ b + a b+)), i on reflection.
-
-    Photon number is conserved, so the unitary is assembled block by block in
-    the total-number sectors (exact within the truncated product space).
-    """
-    U = np.zeros((dim_a * dim_b, dim_a * dim_b), dtype=complex)
-
-    def idx(na: int, nb: int) -> int:
-        return na * dim_b + nb
-
-    for N in range(dim_a + dim_b - 1):
-        ks = [k for k in range(N + 1) if k < dim_a and (N - k) < dim_b]
-        if not ks:
-            continue
-        nblk = len(ks)
-        h = np.zeros((nblk, nblk), dtype=complex)
-        for ii, k in enumerate(ks):
-            # <k+1, N-k-1 | a+ b | k, N-k> = sqrt((k+1)(N-k))
-            if k + 1 in ks:
-                val = math.sqrt((k + 1) * (N - k))
-                jj = ks.index(k + 1)
-                h[jj, ii] += val
-                h[ii, jj] += val
-        blk = expm(1j * (math.pi / 4.0) * h)
-        for ii, k1 in enumerate(ks):
-            for jj, k2 in enumerate(ks):
-                U[idx(k1, N - k1), idx(k2, N - k2)] = blk[ii, jj]
-    return U
-
-
-def two_mode_input(rho_a, N_b: float, cutoff_b: int) -> np.ndarray:
-    mat_a = rho_a.mat if isinstance(rho_a, DensityMatrix) else np.asarray(rho_a, dtype=complex)
-    amps = coherent_state(math.sqrt(N_b), cutoff_b)
-    rho_b = np.outer(amps, amps.conj())
-    return np.kron(mat_a, rho_b)
-
-
-def jz_statistics_dense(rho_a, N_b: float, cutoff_b: int, phi: float):
-    """Oracle: build the full interferometer and measure (n_a' - n_b')/2.
-
-    Independent of the moment-based route: the two-mode state is pushed
-    through both splitter unitaries and the phase explicitly.
-    """
-    mat_a = rho_a.mat if isinstance(rho_a, DensityMatrix) else np.asarray(rho_a, dtype=complex)
-    dim_a, dim_b = mat_a.shape[0], cutoff_b + 1
-    rho = two_mode_input(mat_a, N_b, cutoff_b)
-    U = beam_splitter_unitary(dim_a, dim_b)
-    na = np.kron(np.arange(dim_a), np.ones(dim_b))
-    nb = np.kron(np.ones(dim_a), np.arange(dim_b))
-    phase = np.exp(1j * phi * na)
-    rho1 = U @ rho @ U.conj().T
-    rho2 = phase[:, None] * rho1 * phase.conj()[None, :]
-    rho3 = U @ rho2 @ U.conj().T
-    jz = 0.5 * (na - nb)
-    diag = np.real(np.diag(rho3))
-    mean = float(diag @ jz)
-    var = float(diag @ (jz * jz)) - mean * mean
-    return mean, var
-
-
-def crb(rho_v, N_b: float, phi: float = 0.0, cutoff_b: int | None = None,
-        dim_limit: int = 4096) -> float:
+def crb(rho_v, N_b: float) -> float:
     """Quantum bound 1/sqrt(F_Q) on the phase sensitivity.
 
     F_Q is the quantum Fisher information of the state after the first
-    splitter for the balanced generator (n_a - n_b)/2, from the symmetric
-    logarithmic derivative eigendecomposition formula.  It is independent of
-    phi for this generator; ``phi`` is accepted for interface symmetry and a
-    coarse-grid independence check is exposed via ``crb_phi_independence``.
+    splitter for the balanced generator (n_a - n_b)/2, in the closed
+    single-mode form of the module docstring.  It is independent of the
+    interferometer phase and costs one eigendecomposition of the port-a
+    state.
     """
-    mat_a = rho_v.mat if isinstance(rho_v, DensityMatrix) else np.asarray(rho_v, dtype=complex)
-    # after the splitter each arm carries about (N_a + N_b)/2 photons, so both
-    # truncations need headroom beyond the input supports
-    na_in = float(np.real(np.arange(mat_a.shape[0]) @ np.real(np.diag(mat_a))))
-    per_arm = 0.5 * (na_in + N_b)
-    arm_cut = default_coherent_cutoff(math.sqrt(per_arm))
-    if cutoff_b is None:
-        cutoff_b = max(default_coherent_cutoff(math.sqrt(N_b)), arm_cut)
-    dim_a = max(mat_a.shape[0], arm_cut + 1, mat_a.shape[0] + 8)
-    if dim_a > mat_a.shape[0]:
-        mat_a = pad_fock(mat_a, dim_a)
-    dim_b = cutoff_b + 1
-    if dim_a * dim_b > dim_limit:
-        raise ConfigError(
-            f"two-mode dimension {dim_a * dim_b} exceeds limit {dim_limit}"
-        )
-    rho = two_mode_input(mat_a, N_b, cutoff_b)
-    U = beam_splitter_unitary(dim_a, dim_b)
-    rho1 = U @ rho @ U.conj().T
-    rho1 = (rho1 + rho1.conj().T) / 2
+    if N_b < 0:
+        raise ConfigError("N_b must be non-negative")
+    mat = rho_v.mat if isinstance(rho_v, DensityMatrix) else np.asarray(rho_v, dtype=complex)
+    # a+^2 raises the support by two levels; padding keeps a and a+ exact on it
+    dim = mat.shape[0] + 2
+    mat = pad_fock(mat, dim)
+    beta = math.sqrt(N_b)  # real, so beta* = beta and beta^2 = N_b
+    a = np.diag(np.sqrt(np.arange(1.0, dim)), k=1)
+    ad = a.T
+    A = beta * (ad - a) / 2j
+    G2 = -(N_b * (ad @ ad + a @ a) - (N_b + 1) * ad @ a - N_b * a @ ad) / 4
 
-    na = np.kron(np.arange(dim_a), np.ones(dim_b))
-    nb = np.kron(np.ones(dim_a), np.arange(dim_b))
-    g = 0.5 * (na - nb)
-    if phi != 0.0:
-        ph = np.exp(-1j * phi * g)
-        rho1 = ph[:, None] * rho1 * ph.conj()[None, :]
-
-    vals, vecs = eigh(rho1)
+    vals, vecs = eigh(mat)
     vals = np.clip(vals, 0.0, None)
-    gmat = vecs.conj().T @ (g[:, None] * vecs)
+    amat = vecs.conj().T @ A @ vecs
     lam_i = vals[:, None]
     lam_j = vals[None, :]
     den = lam_i + lam_j
-    num = (lam_i - lam_j) ** 2
     mask = den > QFI_EIG_FLOOR
-    fq = 2.0 * float(np.sum(np.where(mask, num * np.abs(gmat) ** 2 / np.where(mask, den, 1.0), 0.0)))
+    cross = float(np.sum(np.where(mask, lam_i * lam_j * np.abs(amat) ** 2
+                                  / np.where(mask, den, 1.0), 0.0)))
+    fq = 4.0 * float(np.trace(mat @ G2).real) - 8.0 * cross
     if fq <= 0:
         raise ConfigError("quantum Fisher information vanished")
     return 1.0 / math.sqrt(fq)
-
-
-def crb_phi_independence(rho_v, N_b: float, cutoff_b: int | None = None,
-                         phis=(0.0, 0.7, 2.1)) -> float:
-    """Max relative spread of the bound over a coarse phi grid (should be ~0)."""
-    vals = [crb(rho_v, N_b, phi, cutoff_b) for phi in phis]
-    return (max(vals) - min(vals)) / min(vals)

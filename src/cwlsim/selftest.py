@@ -19,7 +19,7 @@ from .hilbert import (DensityMatrix, annihilation, coherent_state,
                       displacement_operator, fidelity, fock_state, pad_fock,
                       partial_trace, pure_density, trace_distance)
 from .integrator import propagate, propagate_displaced
-from .metrology import coherent_moments, jz_sensitivity
+from .metrology import coherent_moments, crb, jz_sensitivity
 from .model import BinSpec, SystemConfig, liouvillian_apply
 from .shortbin import emitter_moments, shortbin_oracle, shortbin_rho
 from .sweep import SweepPlan, run_sweep
@@ -129,6 +129,15 @@ def _check_metrology():
         assert abs(res.delta_phi * math.sqrt(2.0 + nb) - 1) < 1e-3
 
 
+def _check_quantum_bound():
+    # coherent light in both ports sits exactly at shot noise; the default
+    # cutoff keeps the port-a truncation leakage below 1e-10
+    n_a, n_b = 2.0, 9.0
+    dm = pure_density(coherent_state(math.sqrt(n_a)))
+    bound = crb(dm, n_b)
+    assert abs(bound * math.sqrt(n_a + n_b) - 1) < 1e-6, bound
+
+
 def _check_sweep_determinism():
     plan = SweepPlan(axes=(("t0", (0.2, 0.6)), ("tau", (0.8,))), objective="negativity")
     cfg = SystemConfig(alpha=0.5, M=1)
@@ -150,6 +159,7 @@ CHECKS = [
     ("ansatz-pure-coherent", _check_ansatz),
     ("bethe-phase", _check_bethe),
     ("metrology-shot-noise", _check_metrology),
+    ("quantum-bound-shot-noise", _check_quantum_bound),
     ("sweep-determinism", _check_sweep_determinism),
 ]
 

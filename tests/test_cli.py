@@ -103,6 +103,21 @@ def test_metrology_subcommand(tmp_path):
     assert (out / "jz_curves.csv").exists()
 
 
+def test_metrology_subcommand_quantum_bound(tmp_path):
+    # METRO_CRB working point at the default N_b = 100
+    doc = {
+        "system": {"alpha": 0.3, "M": 1, "gamma_D": 0.1},
+        "bin": {"t0": 2.0, "tau": 5.0},
+        "metrology": {"crb": True},
+    }
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["metrology", "--config", str(cfg), "--out", str(out)]) == 0
+    res = json.loads((out / "metrology.json").read_text())
+    assert res["N_b"] == 100.0
+    assert res["delta_phi_cr"] <= res["delta_phi"] * (1 + 1e-6)
+
+
 def test_sweep_subcommand(tmp_path):
     doc = {
         "system": {"alpha": 0.9, "M": 1},

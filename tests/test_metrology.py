@@ -6,10 +6,11 @@ import pytest
 from cwlsim.errors import ConfigError
 from cwlsim.hilbert import (DensityMatrix, coherent_state, fock_state,
                             pure_density)
-from cwlsim.metrology import (_jz_curves, beam_splitter_unitary, coherent_moments,
-                              crb, crb_phi_independence, extract_moments,
-                              jz_sensitivity, jz_statistics_dense,
-                              squeezed_reference, squeezed_vacuum_moments)
+from cwlsim.metrology import (_jz_curves, coherent_moments, crb, extract_moments,
+                              jz_sensitivity, squeezed_reference,
+                              squeezed_vacuum_moments)
+from metrology_oracles import (beam_splitter_unitary, crb_dense,
+                               crb_phi_independence, jz_statistics_dense)
 
 
 def low_photon_state(rng, support=4, dim=25):
@@ -161,10 +162,11 @@ def test_crb_coherent_inputs_shot_noise():
 
 def test_crb_fock_one_vacuum_port():
     dm = pure_density(fock_state(1, 6))
-    val = crb(dm, 0.0, cutoff_b=6)
+    val = crb_dense(dm, 0.0, cutoff_b=6)
     res = jz_sensitivity(extract_moments(dm), 0.0)
     assert np.isfinite(val) and val > 0
     assert val <= res.delta_phi * (1 + 1e-6)
+    assert crb(dm, 0.0) == pytest.approx(val, rel=1e-9)
 
 
 def test_crb_never_beaten_by_jz():
@@ -182,3 +184,22 @@ def test_crb_phi_independent():
     rng = np.random.default_rng(9)
     rho = low_photon_state(rng, support=3, dim=10)
     assert crb_phi_independence(rho, 4.0) < 1e-9
+
+
+def test_crb_matches_dense_oracle():
+    # supports sit well inside the oracle's padded cutoff, so the dense
+    # route carries no truncation error at this tolerance
+    for seed in (8, 9, 10):
+        rng = np.random.default_rng(seed)
+        rho = low_photon_state(rng, support=3, dim=12)
+        for n_b in (1.0, 4.0, 9.0):
+            assert crb(rho, n_b) == pytest.approx(crb_dense(rho, n_b), rel=1e-9)
+
+
+def test_crb_matches_dense_oracle_on_captured_state():
+    from cwlsim.integrator import propagate
+    from cwlsim.presets import METRO_CRB_BIN, METRO_CRB_CFG
+
+    rho_v = propagate(METRO_CRB_CFG, METRO_CRB_BIN).rho_v
+    for n_b in (4.0, 9.0, 16.0):
+        assert crb(rho_v, n_b) == pytest.approx(crb_dense(rho_v, n_b), rel=1e-9)

@@ -93,6 +93,20 @@ def test_metrology_objective_runs():
     assert rows[0].objective > 0.05  # beats shot noise at the calibrated region
 
 
+def test_crb_objective_at_default_n_b():
+    from cwlsim.presets import METRO_CRB_BIN, METRO_CRB_CFG
+
+    plan = SweepPlan(axes=(("tau", (4.0, 5.0)),), objective="crb_improvement")
+    assert plan.N_b == 100.0
+    seq = run_sweep(plan, METRO_CRB_CFG, METRO_CRB_BIN, parallel=False)
+    par = run_sweep(plan, METRO_CRB_CFG, METRO_CRB_BIN, parallel=True)
+    assert all(r.error is None for r in seq)
+    assert all(np.isfinite(r.objective) for r in seq)
+    assert [(r.index, r.params, r.objective) for r in seq] == [
+        (r.index, r.params, r.objective) for r in par
+    ]
+
+
 def test_artifacts_written(tmp_path):
     from cwlsim.serialize import read_density_matrix
 
