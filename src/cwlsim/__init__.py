@@ -15,7 +15,7 @@ from .model import (BinSpec, Numerics, SystemConfig, build_hamiltonian,
                     build_jump_operators, liouvillian_apply, mode_gv)
 from .shortbin import EmitterMoments, emitter_moments, shortbin_oracle, shortbin_rho
 from .sweep import SweepPlan, SweepRow, run_sweep
-from .wigner import WignerResult, negativity, wigner_grid
+from .wigner import WignerResult, wigner_grid
 
 __all__ = [
     "__version__",
@@ -31,5 +31,5 @@ __all__ = [
     "build_jump_operators", "liouvillian_apply", "mode_gv",
     "EmitterMoments", "emitter_moments", "shortbin_oracle", "shortbin_rho",
     "SweepPlan", "SweepRow", "run_sweep",
-    "WignerResult", "negativity", "wigner_grid",
+    "WignerResult", "wigner_grid",
 ]

@@ -59,48 +59,56 @@ def load_config(path) -> dict:
     return doc
 
 
+def _section(doc: dict, name: str) -> dict:
+    sec = doc.get(name, {})
+    if not isinstance(sec, dict):
+        raise ConfigError(f"'{name}' must be a JSON object")
+    return sec
+
+
+def _read(sec: dict, key: str, default, kind):
+    """``sec[key]`` as ``kind`` (int, float or complex); an unset optional stays None."""
+    v = sec.get(key, default)
+    if v is None and default is None:
+        return None
+    if kind is int:
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ConfigError(f"'{key}' must be an integer, got {v!r}")
+        return v
+    try:
+        return _complex_from(v) if kind is complex else kind(v)
+    except (TypeError, ValueError, IndexError):
+        raise ConfigError(f"'{key}' must be a number, got {v!r}")
+
+
 def build_system(doc: dict) -> SystemConfig:
-    sec = doc.get("system", {})
-    num = sec.get("numerics", {})
-    kwargs = {}
-    for key in ("rtol", "atol", "max_step_bin_frac", "dim_limit", "output_points"):
-        if key in num:
-            kwargs[key] = type(getattr(Numerics(), key))(num[key])
+    sec = _section(doc, "system")
+    num = _section(sec, "numerics")
     return SystemConfig(
-        alpha=_complex_from(sec.get("alpha", 0.9)),
-        kappa=float(sec.get("kappa", 1.0)),
-        Gamma=float(sec.get("Gamma", 0.0)),
-        gamma_D=float(sec.get("gamma_D", 0.0)),
-        M=int(sec.get("M", 1)),
-        emitter_levels=sec.get("emitter_levels"),
-        cavity_cutoff=sec.get("cavity_cutoff"),
-        numerics=Numerics(**kwargs),
+        alpha=_read(sec, "alpha", 0.9, complex),
+        kappa=_read(sec, "kappa", 1.0, float),
+        Gamma=_read(sec, "Gamma", 0.0, float),
+        gamma_D=_read(sec, "gamma_D", 0.0, float),
+        M=_read(sec, "M", 1, int),
+        emitter_levels=_read(sec, "emitter_levels", None, int),
+        cavity_cutoff=_read(sec, "cavity_cutoff", None, int),
+        numerics=Numerics(**{f.name: _read(num, f.name, f.default, type(f.default))
+                             for f in dataclasses.fields(Numerics)}),
     )
 
 
 def build_bin(doc: dict) -> BinSpec:
-    sec = doc.get("bin", {})
+    sec = _section(doc, "bin")
     return BinSpec(
-        t0=float(sec.get("t0", 0.0)),
-        tau=float(sec.get("tau", 1.0)),
-        g_max=sec.get("g_max"),
+        t0=_read(sec, "t0", 0.0, float),
+        tau=_read(sec, "tau", 1.0, float),
+        g_max=_read(sec, "g_max", None, float),
+        mode=sec.get("mode", "flat"),
     )
 
 
 def config_snapshot(cfg: SystemConfig, bin: BinSpec, doc: dict) -> dict:
-    snap = {
-        "system": {
-            "alpha": complex(cfg.alpha),
-            "kappa": cfg.kappa,
-            "Gamma": cfg.Gamma,
-            "gamma_D": cfg.gamma_D,
-            "M": cfg.M,
-            "emitter_levels": cfg.emitter_levels,
-            "cavity_cutoff": cfg.cavity_cutoff,
-            "numerics": dataclasses.asdict(cfg.numerics),
-        },
-        "bin": {"t0": bin.t0, "tau": bin.tau, "g_max": bin.g_max, "mode": bin.mode},
-    }
+    snap = {"system": dataclasses.asdict(cfg), "bin": dataclasses.asdict(bin)}
     for key in ("grid", "metrology", "sweep"):
         if key in doc:
             snap[key] = doc[key]
@@ -134,15 +142,7 @@ class Manifest:
 
 
 def _traj_diag(traj) -> dict:
-    d = traj.diagnostics
-    return {
-        "cutoff": d.cutoff,
-        "n_steps": d.n_steps,
-        "trace_drift_max": d.trace_drift_max,
-        "positivity_min": d.positivity_min,
-        "hermiticity_max": d.hermiticity_max,
-        "cutoff_check": d.cutoff_check,
-    }
+    return dataclasses.asdict(traj.diagnostics)
 
 
 def cmd_simulate(doc: dict, out: Path) -> Manifest:
@@ -168,12 +168,15 @@ def cmd_wigner(doc: dict, out: Path) -> Manifest:
     cfg, bin = build_system(doc), build_bin(doc)
     man = Manifest("wigner", config_snapshot(cfg, bin, doc))
     traj = propagate(cfg, bin)
-    grid_sec = doc.get("grid", {})
-    spacing = float(grid_sec.get("spacing", DEFAULT_SPACING))
+    grid_sec = _section(doc, "grid")
+    spacing = _read(grid_sec, "spacing", DEFAULT_SPACING, float)
     bounds = grid_sec.get("bounds")
     if bounds is not None:
-        bounds = ((float(bounds[0][0]), float(bounds[0][1])),
-                  (float(bounds[1][0]), float(bounds[1][1])))
+        try:
+            (x0, x1), (p0, p1) = bounds
+            bounds = ((float(x0), float(x1)), (float(p0), float(p1)))
+        except (TypeError, ValueError):
+            raise ConfigError(f"'bounds' must be [[xmin, xmax], [pmin, pmax]], got {bounds!r}")
     w = wigner_grid(traj.rho_v, bounds=bounds, spacing=spacing)
     rows = []
     for ip, p in enumerate(w.ps):
@@ -229,9 +232,9 @@ def cmd_ansatz(doc: dict, out: Path) -> Manifest:
 def cmd_metrology(doc: dict, out: Path) -> Manifest:
     cfg, bin = build_system(doc), build_bin(doc)
     man = Manifest("metrology", config_snapshot(cfg, bin, doc))
-    sec = doc.get("metrology", {})
-    n_b = float(sec.get("N_b", 100.0))
-    phi_points = int(sec.get("phi_points", 400))
+    sec = _section(doc, "metrology")
+    n_b = _read(sec, "N_b", 100.0, float)
+    phi_points = _read(sec, "phi_points", 400, int)
     with_crb = bool(sec.get("crb", False))
     traj = propagate(cfg, bin)
     mom = extract_moments(traj.rho_v)
@@ -266,16 +269,16 @@ def cmd_metrology(doc: dict, out: Path) -> Manifest:
 def cmd_sweep(doc: dict, out: Path) -> Manifest:
     cfg, bin = build_system(doc), build_bin(doc)
     man = Manifest("sweep", config_snapshot(cfg, bin, doc))
-    sec = doc.get("sweep", {})
-    axes_doc = sec.get("axes", {})
+    sec = _section(doc, "sweep")
+    axes_doc = _section(sec, "axes")
     if not axes_doc:
         raise ConfigError("sweep config must define axes")
     axes = tuple((name, tuple(values)) for name, values in axes_doc.items())
     plan = SweepPlan(
         axes=axes,
         objective=sec.get("objective", "negativity"),
-        budget=int(sec.get("budget", 10_000)),
-        N_b=float(sec.get("N_b", 100.0)),
+        budget=_read(sec, "budget", 10_000, int),
+        N_b=_read(sec, "N_b", 100.0, float),
     )
     rows = run_sweep(plan, cfg, bin, out_dir=out)
     names = [name for name, _ in axes]

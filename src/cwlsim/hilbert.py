@@ -56,10 +56,6 @@ def annihilation(cutoff: int):
     return sp.diags(np.sqrt(n).astype(complex), offsets=1, format="csr")
 
 
-def number_operator(cutoff: int):
-    return sp.diags(np.arange(cutoff + 1, dtype=complex), format="csr")
-
-
 def default_coherent_cutoff(beta: complex) -> int:
     return int(math.ceil(abs(beta) ** 2 + 6 * abs(beta) + 10))
 
@@ -162,9 +158,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
-
-    def min_eigenvalue(self) -> float:
-        return float(np.min(eigh((self.mat + self.mat.conj().T) / 2, eigvals_only=True)))
 
     def __repr__(self):
         return f"DensityMatrix(dim={self.dim}, dims={self.dims})"

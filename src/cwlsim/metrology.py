@@ -89,9 +89,6 @@ class MZResult:
     N_b: float
 
 
-MOMENT_CUTOFF_MARGIN = 8  # extra Fock levels for metrology-grade moments
-
-
 def extract_moments(rho_v, tail_levels: int = 2, tail_tol: float = 1e-3) -> MomentSet:
     """Moments <a+^p a^q>, p + q <= 4, by exact truncated-basis contraction.
 

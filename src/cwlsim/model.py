@@ -6,14 +6,19 @@ collective coupling ``kappa``: ``alpha`` is in units of sqrt(kappa), ``Gamma``
 and ``gamma_D`` in units of kappa.  Bin times are absolute (kappa sets the
 time unit, default 1).
 
-The Liouvillian depends on time only through the real cavity coupling g(t) of
-the flat capture mode, so it is assembled once per (config, bin) as a
-superoperator polynomial L0 + g L1 + g^2 L2 and cached.
+The physics is written once, in `_model_parts`: the Hamiltonian H0 + g H1 and
+the list of dissipative channels, each a jump operator A + g B at a fixed
+rate.  Both are linear in the real cavity coupling g(t) of the flat capture
+mode, which is the Liouvillian's only time dependence.  `build_hamiltonian`,
+`build_jump_operators` and `Generator` all derive from that one source; the
+generator expands it once per (config, bin) into the superoperator polynomial
+L0 + g L1 + g^2 L2 and is cached.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -126,15 +131,16 @@ def mode_gv(bin: BinSpec, t: float, kappa: float = 1.0) -> complex:
     return complex(g)
 
 
-def default_cutoff(cfg: SystemConfig, bin: BinSpec) -> int:
-    """Cavity cutoff covering the coherent amplitude plus up to M added photons."""
-    x = bin.tau * abs(cfg.alpha_phys) ** 2
-    c = math.ceil(x + cfg.M + 6.0 * math.sqrt(x + cfg.M)) + 2
+def default_cutoff(x: float, M: int) -> int:
+    """Cavity cutoff covering x = tau |alpha|^2 coherent photons plus up to M added ones."""
+    c = math.ceil(x + M + 6.0 * math.sqrt(x + M)) + 2
     return max(int(c), 2)
 
 
 def resolve_cutoff(cfg: SystemConfig, bin: BinSpec) -> int:
-    return cfg.cavity_cutoff if cfg.cavity_cutoff is not None else default_cutoff(cfg, bin)
+    if cfg.cavity_cutoff is not None:
+        return cfg.cavity_cutoff
+    return default_cutoff(bin.tau * abs(cfg.alpha_phys) ** 2, cfg.M)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +164,8 @@ def chain_operators(M: int, levels: int, cav_dim: int):
     """Sparse operators on the full space (emitters first, cavity last).
 
     Returns a dict with the collective lowering operator ``S``, the cavity
-    ``b``, per-emitter lowering/dark/population operators, and identities.
+    ``b``, the per-emitter lowering/dark/population operators and the
+    dimension ``dim``.
     """
     if cav_dim < 1:
         raise ConfigError("cavity dimension must be positive")
@@ -177,7 +184,7 @@ def chain_operators(M: int, levels: int, cav_dim: int):
     darks = [embed(dark, i) for i in range(M)] if levels == 3 else []
     dim = levels**M * cav_dim
     if M > 0:
-        S = reduce(lambda x, y: x + y, sigmas)
+        S = reduce(operator.add, sigmas)
         b = tensor([sp.csr_matrix(sp.identity(levels**M, dtype=complex)), a])
     else:
         S = sp.csr_matrix((dim, dim), dtype=complex)
@@ -189,17 +196,20 @@ def chain_operators(M: int, levels: int, cav_dim: int):
         "darks": [d.tocsr() for d in darks],
         "pops": [p.tocsr() for p in pops],
         "dim": dim,
-        "dims": tuple([levels] * M + [cav_dim]),
     }
 
 
-def _hamiltonian_parts(cfg: SystemConfig, cav_dim: int, displaced: bool):
-    """Static part H0 and the coefficient H1 of the real coupling g(t).
+def _model_parts(cfg: SystemConfig, cav_dim: int, displaced: bool):
+    """The model, written once: H(t) = H0 + g H1 and the dissipative channels.
 
-    H(t) = H0 + g(t) H1 with
       H0 = i sqrt(k) (a* S - a S+) + chiral exchange between emitters,
       H1 = i (a* b - a b+) + (i/2) sqrt(k) (S+ b - b+ S).
     In the displaced frame the cavity drive term of H1 is dropped.
+
+    Each channel is ``(rate, A, B)`` with jump operator A + g B; ``B`` is None
+    for channels that do not depend on g.  The collective channel
+    sqrt(k) S + g b comes first, then one waveguide-loss channel per emitter
+    and, for three-level emitters, one dark-state channel per emitter.
     """
     ops = chain_operators(cfg.M, cfg.levels, cav_dim)
     S, b = ops["S"], ops["b"]
@@ -220,32 +230,34 @@ def _hamiltonian_parts(cfg: SystemConfig, cav_dim: int, displaced: bool):
     H1 = (1j / 2.0) * sqk * (Sd @ b - bd @ S)
     if not displaced:
         H1 = H1 + 1j * (np.conj(al) * b - al * bd)
-    return H0.tocsr(), H1.tocsr(), ops
+
+    channels = [(1.0, (sqk * S).tocsr(), b)]
+    channels += [(cfg.Gamma_phys, s, None) for s in ops["sigmas"]]
+    channels += [(cfg.gamma_D_phys, d, None) for d in ops["darks"]]
+    return H0.tocsr(), H1.tocsr(), channels, ops
 
 
 def build_hamiltonian(cfg: SystemConfig, bin: BinSpec, t: float):
-    """Full Hamiltonian H(t) = H_drive + H_sys + H_exc as a sparse matrix."""
+    """Full Hamiltonian H(t) = H0 + g(t) H1 as a sparse matrix."""
     cav_dim = resolve_cutoff(cfg, bin) + 1
     _check_dim(cfg, cav_dim)
-    H0, H1, _ = _hamiltonian_parts(cfg, cav_dim, displaced=False)
+    H0, H1, _, _ = _model_parts(cfg, cav_dim, displaced=False)
     g = mode_gv(bin, t, cfg.kappa).real
     return (H0 + g * H1).tocsr()
 
 
 def build_jump_operators(cfg: SystemConfig, bin: BinSpec, t: float):
-    """Jump operators with rates: [(L(t), 1)] + [(s_i-, Gamma)] + [(d_i, gamma_D)]."""
+    """Jump operators with rates, [(A + g(t)* B, rate)], one per channel.
+
+    Every channel is listed, zero rates included: the collective channel at
+    rate 1, then s_i- at Gamma and, for three-level emitters, d_i at gamma_D.
+    """
     cav_dim = resolve_cutoff(cfg, bin) + 1
     _check_dim(cfg, cav_dim)
-    ops = chain_operators(cfg.M, cfg.levels, cav_dim)
+    _, _, channels, _ = _model_parts(cfg, cav_dim, displaced=False)
     g = mode_gv(bin, t, cfg.kappa)
-    L = math.sqrt(cfg.kappa) * ops["S"] + np.conj(g) * ops["b"]
-    out = [(L.tocsr(), 1.0)]
-    out += [(s, cfg.Gamma_phys) for s in ops["sigmas"]]
-    if cfg.gamma_D > 0:
-        if cfg.levels != 3:
-            raise ConfigError("gamma_D > 0 requires three-level emitters")
-        out += [(d, cfg.gamma_D_phys) for d in ops["darks"]]
-    return out
+    return [(A if B is None else (A + np.conj(g) * B).tocsr(), rate)
+            for rate, A, B in channels]
 
 
 def _check_dim(cfg: SystemConfig, cav_dim: int):
@@ -272,10 +284,18 @@ def _right(A):
 
 
 def _dissipator_super(A):
+    """D[A] rho = A rho A+ - {A+ A, rho}/2."""
     AdA = (A.conj().T @ A).tocsr()
+    return (sp.kron(A, A.conj(), format="csr") - 0.5 * (_left(AdA) + _right(AdA))).tocsr()
+
+
+def _cross_super(A, B):
+    """Term linear in g of D[A + g B]: A rho B+ + B rho A+ - {A+ B + B+ A, rho}/2."""
+    C = (A.conj().T.tocsr() @ B + B.conj().T.tocsr() @ A).tocsr()
     return (
-        sp.kron(A, A.conj(), format="csr")
-        - 0.5 * (_left(AdA) + _right(AdA))
+        sp.kron(A, B.conj(), format="csr")
+        + sp.kron(B, A.conj(), format="csr")
+        - 0.5 * (_left(C) + _right(C))
     ).tocsr()
 
 
@@ -284,41 +304,30 @@ def _commutator_super(H):
 
 
 class Generator:
-    """Cached Liouvillian L(t) = L0 + g(t) L1 + g(t)^2 L2 acting on vec(rho)."""
+    """Cached Liouvillian L(t) = L0 + g(t) L1 + g(t)^2 L2 acting on vec(rho).
+
+    Expanding sum_r r D[A + g B] over the channels of `_model_parts`:
+      L0 = -i[H0, .] + sum r D[A],
+      L1 = -i[H1, .] + sum r (A . B+ + B . A+ - {A+ B + B+ A, .}/2),
+      L2 = sum r D[B].
+    Channels at rate zero are skipped.
+    """
 
     def __init__(self, cfg: SystemConfig, bin: BinSpec, cav_dim: int, displaced: bool):
         self.cfg = cfg
         self.bin = bin
-        self.displaced = displaced
-        H0, H1, ops = _hamiltonian_parts(cfg, cav_dim, displaced)
-        S, b = ops["S"], ops["b"]
-        Sd, bd = S.conj().T.tocsr(), b.conj().T.tocsr()
-        sqk = math.sqrt(cfg.kappa)
+        H0, H1, channels, ops = _model_parts(cfg, cav_dim, displaced)
         self.dim = ops["dim"]
-        self.dims = ops["dims"]
         self.ops = ops
 
-        L0 = _commutator_super(H0) + cfg.kappa * _dissipator_super(S)
-        for s in ops["sigmas"]:
-            if cfg.Gamma_phys > 0:
-                L0 = L0 + cfg.Gamma_phys * _dissipator_super(s)
-        for d in ops["darks"]:
-            if cfg.gamma_D_phys > 0:
-                L0 = L0 + cfg.gamma_D_phys * _dissipator_super(d)
-
-        cross = (Sd @ b + bd @ S).tocsr()
-        L1 = (
-            _commutator_super(H1)
-            + sqk
-            * (
-                sp.kron(S, b.conj(), format="csr")
-                + sp.kron(b, S.conj(), format="csr")
-                - 0.5 * (_left(cross) + _right(cross))
-            )
-        ).tocsr()
-        L2 = _dissipator_super(b)
-
-        self.L0, self.L1, self.L2 = L0.tocsr(), L1, L2.tocsr()
+        # terms are summed as they are built, so only one is held at a time
+        live = [(rate, A, B) for rate, A, B in channels if rate != 0]
+        coupled = [(rate, A, B) for rate, A, B in live if B is not None]
+        self.L0 = reduce(operator.add, (r * _dissipator_super(A) for r, A, _ in live),
+                         _commutator_super(H0)).tocsr()
+        self.L1 = reduce(operator.add, (r * _cross_super(A, B) for r, A, B in coupled),
+                         _commutator_super(H1)).tocsr()
+        self.L2 = reduce(operator.add, (r * _dissipator_super(B) for r, _, B in coupled)).tocsr()
 
     def g(self, t: float) -> float:
         return mode_gv(self.bin, t, self.cfg.kappa).real

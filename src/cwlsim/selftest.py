@@ -20,7 +20,7 @@ from .hilbert import (DensityMatrix, annihilation, coherent_state,
                       partial_trace, pure_density, trace_distance)
 from .integrator import propagate, propagate_displaced
 from .metrology import coherent_moments, crb, jz_sensitivity
-from .model import BinSpec, SystemConfig, liouvillian_apply
+from .model import BinSpec, SystemConfig, liouvillian_apply, resolve_cutoff
 from .shortbin import emitter_moments, shortbin_oracle, shortbin_rho
 from .sweep import SweepPlan, run_sweep
 from .wigner import wigner_grid
@@ -44,9 +44,6 @@ def _check_model():
     cfg = SystemConfig(alpha=0.4, M=1)
     b = BinSpec(t0=0.5, tau=1.0)
     rng = np.random.default_rng(0)
-    gen_dim = 2 * 8
-    from .model import resolve_cutoff
-
     dim = 2 * (resolve_cutoff(cfg, b) + 1)
     X = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = X @ X.conj().T

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, SeriesConvergenceError
 from .hilbert import DensityMatrix, displacement_operator, pad_fock
+from .model import default_cutoff
 
 log = logging.getLogger(__name__)
 
@@ -99,8 +100,7 @@ def shortbin_rho(mom: EmitterMoments, alpha: complex, tau: float, kappa: float,
                     kt, KAPPA_TAU_SOFT_LIMIT)
     alpha_phys = complex(alpha) * math.sqrt(kappa)
     if cutoff is None:
-        x = tau * abs(alpha_phys) ** 2
-        cutoff = max(int(math.ceil(x + M + 6.0 * math.sqrt(x + M))) + 2, 2)
+        cutoff = default_cutoff(tau * abs(alpha_phys) ** 2, M)
     dim = cutoff + 1
 
     kernel = np.zeros((M + 1, M + 1), dtype=complex)
@@ -143,8 +143,7 @@ def shortbin_oracle(rho_emitters: DensityMatrix, alpha: complex, tau: float,
     """
     alpha_phys = complex(alpha) * math.sqrt(kappa)
     if cutoff is None:
-        x = tau * abs(alpha_phys) ** 2
-        cutoff = max(int(math.ceil(x + M + 6.0 * math.sqrt(x + M))) + 2, 2)
+        cutoff = default_cutoff(tau * abs(alpha_phys) ** 2, M)
     dim_out = cutoff + 1
 
     dim_e = rho_emitters.dim

@@ -43,7 +43,6 @@ class WignerResult:
     negativity: float  # refined integral of |min(0, W)|
     norm: float  # integral of W over the grid
     spacing: float
-    rho: DensityMatrix | None = None  # source state, kept for refinement
 
 
 def _as_single_mode(rho) -> np.ndarray:
@@ -51,7 +50,7 @@ def _as_single_mode(rho) -> np.ndarray:
         if len(rho.dims) != 1:
             raise ConfigError("Wigner evaluation requires a single-mode state")
         return rho.mat
-    return np.asarray(rho, dtype=complex)
+    return DensityMatrix(rho).mat
 
 
 def _mean_amplitude(mat: np.ndarray) -> complex:
@@ -153,14 +152,9 @@ def _quad_norm(vals: np.ndarray, spacing: float) -> float:
 
 
 def _refined_negativity(mat: np.ndarray, bounds, spacing: float,
-                        first_vals: np.ndarray | None = None,
-                        max_levels: int = 3) -> float:
+                        first_vals: np.ndarray, max_levels: int = 3) -> float:
     """Halve the spacing until the quadrature changes by < 1 percent."""
-    if first_vals is not None:
-        prev = _quad_neg(first_vals, spacing)
-    else:
-        _, _, vals = _evaluate(mat, bounds, spacing)
-        prev = _quad_neg(vals, spacing)
+    prev = _quad_neg(first_vals, spacing)
     if prev < REFINE_ABS_FLOOR:
         return prev
     for _ in range(max_levels):
@@ -197,25 +191,10 @@ def wigner_grid(rho, bounds=None, spacing: float = DEFAULT_SPACING) -> WignerRes
         )
     mat = _as_single_mode(rho)
     if bounds is None:
-        bounds = default_bounds(mat)
+        bounds = default_bounds(rho)
     xs, ps, vals = _evaluate(mat, bounds, spacing)
     norm = _quad_norm(vals, spacing)
-    neg = _refined_negativity(mat, bounds, spacing, first_vals=vals)
-    dm = rho if isinstance(rho, DensityMatrix) else DensityMatrix(mat)
+    neg = _refined_negativity(mat, bounds, spacing, vals)
     return WignerResult(
-        xs=xs, ps=ps, values=vals, negativity=neg, norm=norm,
-        spacing=spacing, rho=dm,
+        xs=xs, ps=ps, values=vals, negativity=neg, norm=norm, spacing=spacing,
     )
-
-
-def negativity(w: WignerResult) -> float:
-    """Total negative part of W, integrated by refined 2-D trapezoid rule.
-
-    Uses the source state stored in the result to refine the grid until the
-    quadrature is stable to 1 percent; falls back to the plain quadrature of
-    the stored values when no source is attached.
-    """
-    if w.rho is None:
-        return _quad_neg(w.values, w.spacing)
-    bounds = ((w.xs[0], w.xs[-1]), (w.ps[0], w.ps[-1]))
-    return _refined_negativity(w.rho.mat, bounds, w.spacing, first_vals=w.values)

@@ -140,6 +140,34 @@ def test_config_error_exit_code(tmp_path):
     assert main(["simulate", "--config", str(missing), "--out", str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("bin", "mode", "gaussian"),
+    ("system", "M", "two"),
+    ("system", "M", 1.5),
+    ("system", "emitter_levels", 3.0),
+    ("system", "cavity_cutoff", 6.5),
+    ("system", "numerics", {"dim_limit": 4096.5}),
+    ("system", "numerics", {"output_points": "many"}),
+    ("system", "kappa", None),
+    ("system", "alpha", "strong"),
+    ("bin", "g_max", "big"),
+    ("bin", None, [0.2, 0.8]),
+    ("system", None, "none"),
+    ("grid", "bounds", [-4, 4]),
+], ids=["mode", "M-str", "M-frac", "levels-float", "cutoff-frac", "dim_limit-frac",
+        "output_points-str", "kappa-null", "alpha-str", "g_max-str", "bin-list",
+        "system-str", "bounds-flat"])
+def test_malformed_config_is_configuration_error(tmp_path, capsys, section, key, value):
+    doc = {name: dict(sec) for name, sec in BASE.items()}
+    if key is None:
+        doc[section] = value
+    else:
+        doc.setdefault(section, {})[key] = value
+    cfg = write_config(tmp_path, doc)
+    assert main(["wigner", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert "configuration error:" in capsys.readouterr().err
+
+
 def test_unknown_flag_reports_usage():
     proc = subprocess.run(
         [sys.executable, "-m", "cwlsim.cli", "simulate", "--bogus"],

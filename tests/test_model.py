@@ -149,6 +149,29 @@ def test_liouvillian_trace_free_and_hermitian():
         assert np.max(np.abs(out - out.conj().T)) < 1e-10
 
 
+@pytest.mark.parametrize("M", [0, 1, 2, 3])
+def test_liouvillian_matches_dense_lindblad(M):
+    # dense -i[H, rho] + sum r (L rho L+ - {L+ L, rho}/2) built from the
+    # Hamiltonian and jump list against the cached superoperator polynomial
+    cfg = SystemConfig(alpha=0.6 - 0.2j, M=M, Gamma=0.3, gamma_D=0.2, cavity_cutoff=5)
+    b = BinSpec(t0=0.5, tau=1.0)
+    dim = 3**M * 6
+    rng = np.random.default_rng(11 + M)
+    # before the bin, mid-bin, inside the g_max clamp region, bin end
+    for t in (0.2, 1.0, 0.5 + 1e-8, 1.5):
+        H = build_hamiltonian(cfg, b, t).toarray()
+        jumps = [(L.toarray(), r) for L, r in build_jump_operators(cfg, b, t)]
+        assert len(jumps) == 1 + 2 * M
+        for _ in range(3):
+            rho = _random_state(rng, dim)
+            dense = -1j * (H @ rho - rho @ H)
+            for L, r in jumps:
+                LdL = L.conj().T @ L
+                dense += r * (L @ rho @ L.conj().T - 0.5 * (LdL @ rho + rho @ LdL))
+            fast = liouvillian_apply(cfg, b, t, rho)
+            assert np.max(np.abs(fast - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
 def test_liouvillian_stationary_vacuum():
     cfg = SystemConfig(alpha=0.0, M=1)
     b = BinSpec(t0=1.0, tau=1.0)

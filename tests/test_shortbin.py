@@ -5,6 +5,7 @@ import pytest
 
 from cwlsim.errors import ConfigError
 from cwlsim.hilbert import DensityMatrix, coherent_state, displacement_operator
+from cwlsim.model import BinSpec, SystemConfig, resolve_cutoff
 from cwlsim.shortbin import (EmitterMoments, _collective_lowering,
                              emitter_moments, shortbin_oracle, shortbin_rho)
 
@@ -150,3 +151,21 @@ def test_moment_table_validation():
     mismatch[0, 0] = 1.0
     with pytest.raises(ConfigError):
         EmitterMoments(mismatch, 1)
+
+
+@pytest.mark.parametrize("alpha, kappa, tau, M", [
+    (0.9, 1.0, 1e-3, 1),
+    (0.5 + 0.3j, 2.0, 0.02, 2),
+    (3.0, 0.5, 0.04, 0),
+    (1.2, 1.0, 0.01, 3),
+])
+def test_default_cutoff_follows_model_policy(alpha, kappa, tau, M):
+    # the short-bin states use the cavity cutoff the propagation would use
+    cfg = SystemConfig(alpha=alpha, kappa=kappa, M=M)
+    expected = resolve_cutoff(cfg, BinSpec(t0=0.0, tau=tau)) + 1
+    ground = np.zeros((2**M, 2**M), dtype=complex)
+    ground[0, 0] = 1.0
+    rho_e = DensityMatrix(ground, (2,) * M or None)
+    mom = emitter_moments(rho_e, M)
+    assert shortbin_rho(mom, alpha, tau, kappa, M).dim == expected
+    assert shortbin_oracle(rho_e, alpha, tau, kappa, M).dim == expected

@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from cwlsim.errors import GridTooCoarseError
+from cwlsim.errors import ConfigError, GridTooCoarseError
 from cwlsim.hilbert import (DensityMatrix, coherent_state,
                             displacement_operator, fock_state, pure_density)
-from cwlsim.wigner import (_wigner_values, default_bounds, negativity,
-                           wigner_grid)
+from cwlsim.wigner import _wigner_values, default_bounds, wigner_grid
 
 FOCK1_NEGATIVITY = 2 * math.exp(-0.5) - 1  # radial quadrature of the analytic W
 
@@ -100,7 +99,6 @@ def test_norm_tracks_trace():
 def test_fock_one_negativity_analytic():
     w = wigner_grid(pure_density(fock_state(1, 14)), bounds=((-4, 4), (-4, 4)))
     assert abs(w.negativity - FOCK1_NEGATIVITY) < 2e-3
-    assert abs(negativity(w) - FOCK1_NEGATIVITY) < 2e-3
 
 
 def test_negativity_translation_invariance():
@@ -153,3 +151,13 @@ def test_default_bounds_centered_on_mean():
     (x0, x1), (p0, p1) = default_bounds(dm)
     assert x0 < beta.real < x1 and p0 < beta.imag < p1
     assert abs((x1 - x0) - 8) < 1e-6
+
+
+def test_raw_array_input_validated():
+    rho = pure_density(fock_state(1, 14))
+    w = wigner_grid(np.array(rho.mat), bounds=((-4, 4), (-4, 4)))
+    assert abs(w.negativity - FOCK1_NEGATIVITY) < 2e-3
+    with pytest.raises(ConfigError):
+        wigner_grid(np.eye(4))  # trace 4
+    with pytest.raises(ConfigError):
+        default_bounds(np.ones((3, 2)))
