@@ -2,7 +2,9 @@
 
 Configuration is a single JSON document with sections
 {system, bin, grid, metrology, sweep}; rates are relative to kappa (drive in
-units of sqrt(kappa)) and times absolute.  Every numerical subcommand writes
+units of sqrt(kappa)) and times absolute.  Each section is read into its
+dataclass (`SECTIONS`) by the field annotations: unknown keys are rejected
+and omitted keys keep the dataclass default.  Every numerical subcommand writes
 its outputs plus a run manifest (config snapshot, version, wall time,
 convergence diagnostics, file list) into the output directory.
 
@@ -17,7 +19,9 @@ import json
 import math
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -26,11 +30,12 @@ from .ansatz import fit_displaced_mixture
 from .errors import ConfigError, CwlError, NumericalError
 from .hilbert import coherent_state, fidelity, partial_trace, pure_density, trace_distance
 from .integrator import propagate
-from .metrology import crb, extract_moments, jz_sensitivity, squeezed_reference
-from .model import BinSpec, Numerics, SystemConfig
+from .metrology import (DEFAULT_N_B, MIN_PHI_POINTS, crb, extract_moments,
+                        jz_sensitivity, squeezed_reference)
+from .model import BinSpec, SystemConfig, check_fields
 from .serialize import write_csv, write_density_matrix, write_json
 from .shortbin import emitter_moments, shortbin_oracle, shortbin_rho
-from .sweep import SweepPlan, run_sweep
+from .sweep import AXES, SweepPlan, apply_params, run_sweep
 from .wigner import DEFAULT_SPACING, wigner_grid
 
 
@@ -41,10 +46,27 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-def _complex_from(v) -> complex:
-    if isinstance(v, (list, tuple)):
-        return complex(v[0], v[1])
-    return complex(v)
+@dataclass(frozen=True)
+class GridSpec:  # the wigner subcommand's phase-space grid
+    spacing: float = DEFAULT_SPACING
+    bounds: list | None = None  # [[xmin, xmax], [pmin, pmax]]; default around the mean
+
+    def __post_init__(self):
+        check_fields(self)
+
+
+@dataclass(frozen=True)
+class MetrologySpec:  # second-port photons, phase samples, quantum bound
+    N_b: float = DEFAULT_N_B
+    phi_points: int = MIN_PHI_POINTS
+    crb: bool = False
+
+    def __post_init__(self):
+        check_fields(self)
+
+
+SECTIONS = {"system": SystemConfig, "bin": BinSpec, "grid": GridSpec,
+            "metrology": MetrologySpec, "sweep": SweepPlan}
 
 
 def load_config(path) -> dict:
@@ -56,63 +78,53 @@ def load_config(path) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}")
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
+    _reject_unknown(doc, SECTIONS, "config")
     return doc
 
 
-def _section(doc: dict, name: str) -> dict:
-    sec = doc.get(name, {})
+def _reject_unknown(sec: dict, known, name: str):
+    unknown = [key for key in sec if key not in known]
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r} in '{name}' "
+                          f"(expected one of {', '.join(known)})")
+
+
+def _convert(tp, value, key: str):
+    """A JSON value as the annotated type ``tp``: numbers widen to float (a real
+    value of a complex field stays real), ``[re, im]`` becomes complex and an
+    object becomes the dataclass.  Anything else passes through for the
+    dataclass to accept or reject."""
+    tp = next((a for a in get_args(tp) if a is not type(None)), tp)  # X | None -> X
+    if dataclasses.is_dataclass(tp):
+        return _build(tp, value, key)
+    if tp is complex and isinstance(value, list) and len(value) == 2 and all(map(_is_real, value)):
+        return complex(*value)
+    if tp in (float, complex) and _is_real(value):
+        return float(value)
+    return value
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _build(cls, sec, name: str):
+    """The dataclass ``cls`` from the JSON object ``sec``; omitted fields keep their default."""
     if not isinstance(sec, dict):
         raise ConfigError(f"'{name}' must be a JSON object")
-    return sec
+    types = get_type_hints(cls)
+    _reject_unknown(sec, types, name)
+    return cls(**{key: _convert(types[key], value, key) for key, value in sec.items()})
 
 
-def _read(sec: dict, key: str, default, kind):
-    """``sec[key]`` as ``kind`` (int, float or complex); an unset optional stays None."""
-    v = sec.get(key, default)
-    if v is None and default is None:
-        return None
-    if kind is int:
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ConfigError(f"'{key}' must be an integer, got {v!r}")
-        return v
-    try:
-        return _complex_from(v) if kind is complex else kind(v)
-    except (TypeError, ValueError, IndexError):
-        raise ConfigError(f"'{key}' must be a number, got {v!r}")
-
-
-def build_system(doc: dict) -> SystemConfig:
-    sec = _section(doc, "system")
-    num = _section(sec, "numerics")
-    return SystemConfig(
-        alpha=_read(sec, "alpha", 0.9, complex),
-        kappa=_read(sec, "kappa", 1.0, float),
-        Gamma=_read(sec, "Gamma", 0.0, float),
-        gamma_D=_read(sec, "gamma_D", 0.0, float),
-        M=_read(sec, "M", 1, int),
-        emitter_levels=_read(sec, "emitter_levels", None, int),
-        cavity_cutoff=_read(sec, "cavity_cutoff", None, int),
-        numerics=Numerics(**{f.name: _read(num, f.name, f.default, type(f.default))
-                             for f in dataclasses.fields(Numerics)}),
-    )
-
-
-def build_bin(doc: dict) -> BinSpec:
-    sec = _section(doc, "bin")
-    return BinSpec(
-        t0=_read(sec, "t0", 0.0, float),
-        tau=_read(sec, "tau", 1.0, float),
-        g_max=_read(sec, "g_max", None, float),
-        mode=sec.get("mode", "flat"),
-    )
+def _section(doc: dict, name: str):
+    """Section ``name`` of the config as its dataclass; a missing one is all defaults."""
+    return _build(SECTIONS[name], doc.get(name, {}), name)
 
 
 def config_snapshot(cfg: SystemConfig, bin: BinSpec, doc: dict) -> dict:
-    snap = {"system": dataclasses.asdict(cfg), "bin": dataclasses.asdict(bin)}
-    for key in ("grid", "metrology", "sweep"):
-        if key in doc:
-            snap[key] = doc[key]
-    return snap
+    """The model sections as built, the others as given."""
+    return {**doc, "system": dataclasses.asdict(cfg), "bin": dataclasses.asdict(bin)}
 
 
 class Manifest:
@@ -145,9 +157,7 @@ def _traj_diag(traj) -> dict:
     return dataclasses.asdict(traj.diagnostics)
 
 
-def cmd_simulate(doc: dict, out: Path) -> Manifest:
-    cfg, bin = build_system(doc), build_bin(doc)
-    man = Manifest("simulate", config_snapshot(cfg, bin, doc))
+def cmd_simulate(doc: dict, cfg: SystemConfig, bin: BinSpec, man: Manifest, out: Path):
     traj = propagate(cfg, bin, verify_cutoff=True)
     rows = []
     for i, t in enumerate(traj.times):
@@ -161,23 +171,19 @@ def cmd_simulate(doc: dict, out: Path) -> Manifest:
     beta = cfg.alpha_phys * math.sqrt(bin.tau)
     f_coh = fidelity(traj.rho_v, pure_density(coherent_state(beta, traj.rho_v.dim - 1)))
     man.diag(coherent_fidelity=f_coh, **_traj_diag(traj))
-    return man
 
 
-def cmd_wigner(doc: dict, out: Path) -> Manifest:
-    cfg, bin = build_system(doc), build_bin(doc)
-    man = Manifest("wigner", config_snapshot(cfg, bin, doc))
-    traj = propagate(cfg, bin)
-    grid_sec = _section(doc, "grid")
-    spacing = _read(grid_sec, "spacing", DEFAULT_SPACING, float)
-    bounds = grid_sec.get("bounds")
+def cmd_wigner(doc: dict, cfg: SystemConfig, bin: BinSpec, man: Manifest, out: Path):
+    grid = _section(doc, "grid")
+    bounds = grid.bounds
     if bounds is not None:
         try:
             (x0, x1), (p0, p1) = bounds
             bounds = ((float(x0), float(x1)), (float(p0), float(p1)))
         except (TypeError, ValueError):
             raise ConfigError(f"'bounds' must be [[xmin, xmax], [pmin, pmax]], got {bounds!r}")
-    w = wigner_grid(traj.rho_v, bounds=bounds, spacing=spacing)
+    traj = propagate(cfg, bin)
+    w = wigner_grid(traj.rho_v, bounds=bounds, spacing=grid.spacing)
     rows = []
     for ip, p in enumerate(w.ps):
         for ix, x in enumerate(w.xs):
@@ -188,12 +194,9 @@ def cmd_wigner(doc: dict, out: Path) -> Manifest:
                out / "wigner.json")
     man.add_output(out / "wigner.json")
     man.diag(negativity=w.negativity, wigner_norm=w.norm, **_traj_diag(traj))
-    return man
 
 
-def cmd_shortbin_check(doc: dict, out: Path) -> Manifest:
-    cfg, bin = build_system(doc), build_bin(doc)
-    man = Manifest("shortbin-check", config_snapshot(cfg, bin, doc))
+def cmd_shortbin_check(doc: dict, cfg: SystemConfig, bin: BinSpec, man: Manifest, out: Path):
     traj = propagate(cfg, bin)
     rho_e = partial_trace(traj.rho_bin_start, tuple(range(cfg.M)))
     mom = emitter_moments(rho_e, cfg.M)
@@ -208,12 +211,9 @@ def cmd_shortbin_check(doc: dict, out: Path) -> Manifest:
     write_json(report, out / "shortbin_report.json")
     man.add_output(out / "shortbin_report.json")
     man.diag(**report, **_traj_diag(traj))
-    return man
 
 
-def cmd_ansatz(doc: dict, out: Path) -> Manifest:
-    cfg, bin = build_system(doc), build_bin(doc)
-    man = Manifest("ansatz", config_snapshot(cfg, bin, doc))
+def cmd_ansatz(doc: dict, cfg: SystemConfig, bin: BinSpec, man: Manifest, out: Path):
     traj = propagate(cfg, bin)
     fit = fit_displaced_mixture(traj.rho_v, cfg.alpha, bin.tau, cfg.kappa)
     doc_out = {
@@ -226,26 +226,20 @@ def cmd_ansatz(doc: dict, out: Path) -> Manifest:
     write_json(doc_out, out / "ansatz.json")
     man.add_output(out / "ansatz.json")
     man.diag(fit_fidelity=fit.fidelity, **_traj_diag(traj))
-    return man
 
 
-def cmd_metrology(doc: dict, out: Path) -> Manifest:
-    cfg, bin = build_system(doc), build_bin(doc)
-    man = Manifest("metrology", config_snapshot(cfg, bin, doc))
-    sec = _section(doc, "metrology")
-    n_b = _read(sec, "N_b", 100.0, float)
-    phi_points = _read(sec, "phi_points", 400, int)
-    with_crb = bool(sec.get("crb", False))
+def cmd_metrology(doc: dict, cfg: SystemConfig, bin: BinSpec, man: Manifest, out: Path):
+    spec = _section(doc, "metrology")
     traj = propagate(cfg, bin)
     mom = extract_moments(traj.rho_v)
     baseline = bin.tau * abs(cfg.alpha_phys) ** 2
-    phi_grid = np.linspace(1e-4, math.pi - 1e-4, max(phi_points, 400))
-    res = jz_sensitivity(mom, n_b, phi_grid, baseline_na=baseline)
-    sq = squeezed_reference(mom.N_a, n_b, phi_grid)
+    phi_grid = np.linspace(1e-4, math.pi - 1e-4, spec.phi_points)
+    res = jz_sensitivity(mom, spec.N_b, phi_grid, baseline_na=baseline)
+    sq = squeezed_reference(mom.N_a, spec.N_b, phi_grid)
     result = {
         "N_a": res.N_a,
         "N_a_baseline": res.N_a_baseline,
-        "N_b": n_b,
+        "N_b": spec.N_b,
         "delta_phi": res.delta_phi,
         "phi_opt": res.phi_opt,
         "delta_phi_sn": res.delta_phi_sn,
@@ -253,8 +247,8 @@ def cmd_metrology(doc: dict, out: Path) -> Manifest:
         "squeezed_delta_phi": sq.delta_phi,
         "squeezed_improvement": res.delta_phi_sn / sq.delta_phi - 1.0,
     }
-    if with_crb:
-        dphi_cr = crb(traj.rho_v, n_b)
+    if spec.crb:
+        dphi_cr = crb(traj.rho_v, spec.N_b)
         result["delta_phi_cr"] = dphi_cr
         result["improvement_cr"] = res.delta_phi_sn / dphi_cr - 1.0
     write_json(result, out / "metrology.json")
@@ -263,54 +257,37 @@ def cmd_metrology(doc: dict, out: Path) -> Manifest:
     write_csv(out / "jz_curves.csv", ["phi", "mean_jz", "var_jz"], rows)
     man.add_output(out / "jz_curves.csv")
     man.diag(improvement=res.improvement, **_traj_diag(traj))
-    return man
 
 
-def cmd_sweep(doc: dict, out: Path) -> Manifest:
-    cfg, bin = build_system(doc), build_bin(doc)
-    man = Manifest("sweep", config_snapshot(cfg, bin, doc))
-    sec = _section(doc, "sweep")
-    axes_doc = _section(sec, "axes")
-    if not axes_doc:
-        raise ConfigError("sweep config must define axes")
-    axes = tuple((name, tuple(values)) for name, values in axes_doc.items())
-    plan = SweepPlan(
-        axes=axes,
-        objective=sec.get("objective", "negativity"),
-        budget=_read(sec, "budget", 10_000, int),
-        N_b=_read(sec, "N_b", 100.0, float),
-    )
+def _axis(name: str, values, cfg: SystemConfig, bin: BinSpec) -> tuple:
+    """Axis ``(name, values)``, each value converted by the type of the field it
+    sets and checked by its dataclass; `SweepPlan` rejects other names and values."""
+    if name in AXES and isinstance(values, list):
+        values = tuple(_convert(get_type_hints(AXES[name])[name], v, name) for v in values)
+        for v in values:
+            apply_params(cfg, bin, {name: v})
+    return name, values
+
+
+def cmd_sweep(doc: dict, cfg: SystemConfig, bin: BinSpec, man: Manifest, out: Path):
+    sec = doc.get("sweep", {})
+    if isinstance(sec, dict) and isinstance(sec.get("axes"), dict):
+        sec = {**sec, "axes": tuple(_axis(n, v, cfg, bin) for n, v in sec["axes"].items())}
+    plan = _build(SweepPlan, sec, "sweep")
     rows = run_sweep(plan, cfg, bin, out_dir=out)
-    names = [name for name, _ in axes]
-    csv_rows = []
-    for r in rows:
-        csv_rows.append(
-            [r.index]
-            + [r.params[n] for n in names]
-            + [r.objective, r.n_a, r.cutoff, r.trace_drift, r.artifact or "",
-               r.error or ""]
-        )
+    names = [name for name, _ in plan.axes]
+    csv_rows = [[r.index] + [r.params[n] for n in names]
+                + [r.objective, r.n_a, r.cutoff, r.trace_drift, r.artifact or "", r.error or ""]
+                for r in rows]
     header = ["index"] + names + ["objective", "N_a", "cutoff", "trace_drift",
                                   "artifact", "error"]
     write_csv(out / "sweep.csv", header, csv_rows)
     man.add_output(out / "sweep.csv")
-    write_json(
-        [
-            {
-                "index": r.index,
-                "params": r.params,
-                "objective": r.objective,
-                "N_a": r.n_a,
-                "artifact": r.artifact,
-                "error": r.error,
-            }
-            for r in rows
-        ],
-        out / "sweep.json",
-    )
+    write_json([{"index": r.index, "params": r.params, "objective": r.objective,
+                 "N_a": r.n_a, "artifact": r.artifact, "error": r.error} for r in rows],
+               out / "sweep.json")
     man.add_output(out / "sweep.json")
     man.diag(n_points=plan.n_points, objective=plan.objective)
-    return man
 
 
 COMMANDS = {
@@ -341,9 +318,11 @@ def main(argv=None) -> int:
 
     try:
         doc = load_config(args.config)
+        cfg, bin = _section(doc, "system"), _section(doc, "bin")
+        man = Manifest(args.command, config_snapshot(cfg, bin, doc))
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        man = COMMANDS[args.command](doc, out)
+        COMMANDS[args.command](doc, cfg, bin, man, out)
         path = man.write(out)
         print(f"wrote {path}")
         return 0

@@ -13,7 +13,7 @@ class ConfigError(CwlError):
 
 
 class GridTooCoarseError(ConfigError):
-    """Phase-space grid spacing too coarse for reliable quadrature."""
+    """Phase-space grid spacing not positive, or too coarse for reliable quadrature."""
 
 
 class NumericalError(CwlError):

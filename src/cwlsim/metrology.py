@@ -44,6 +44,7 @@ from .hilbert import DensityMatrix, pad_fock
 MAX_MOMENT_ORDER = 4
 DERIV_FLOOR_REL = 1e-9
 MIN_PHI_POINTS = 400
+DEFAULT_N_B = 100.0  # second-port photon number when a config names none
 QFI_EIG_FLOOR = 1e-12
 
 

@@ -1,10 +1,14 @@
 """Time-dependent generator for the driven emitter chain + capture cavity.
 
 Each emitter has levels G (ground), W (radiating excited) and, when dark-state
-decay is enabled, D (non-radiating).  All rates are stored relative to the
-collective coupling ``kappa``: ``alpha`` is in units of sqrt(kappa), ``Gamma``
-and ``gamma_D`` in units of kappa.  Bin times are absolute (kappa sets the
-time unit, default 1).
+decay is enabled (gamma_D > 0), D (non-radiating).  All rates are stored
+relative to the collective coupling ``kappa``: ``alpha`` is in units of
+sqrt(kappa), ``Gamma`` and ``gamma_D`` in units of kappa.  Bin times are
+absolute (kappa sets the time unit, default 1).
+
+The dataclasses `SystemConfig`, `Numerics` and `BinSpec` are the only
+configuration schema: their defaults are every entry point's defaults, and
+each checks its own fields (kind and finiteness by annotation, then range).
 
 The physics is written once, in `_model_parts`: the Hamiltonian H0 + g H1 and
 the list of dissipative channels, each a jump operator A + g B at a fixed
@@ -17,10 +21,13 @@ L0 + g L1 + g^2 L2 and is cached.
 
 from __future__ import annotations
 
+import cmath
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from typing import get_args, get_type_hints
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,6 +36,26 @@ from .errors import ConfigError
 from .hilbert import annihilation, identity, tensor
 
 G_MAX_DEFAULT = 1.0e3  # clamp on |g| in units sqrt(kappa)
+
+
+_KINDS = {bool: (bool, "a boolean"), int: (numbers.Integral, "an integer"),
+          float: (numbers.Real, "a finite real number"),
+          complex: (numbers.Complex, "a finite complex number"), str: (str, "a string")}
+
+
+def check_fields(obj) -> None:
+    """Raise ConfigError unless each bool, number or str field of the dataclass
+    ``obj`` holds its annotated kind: numbers finite and never bools, None only
+    where the annotation allows it."""
+    for name, tp in get_type_hints(type(obj)).items():
+        value, allowed = getattr(obj, name), get_args(tp) or (tp,)
+        kind = next((k for k in allowed if k in _KINDS), None)
+        if kind is None or (value is None and type(None) in allowed):
+            continue
+        abc, noun = _KINDS[kind]
+        ok = isinstance(value, abc) and (kind is bool or not isinstance(value, bool))
+        if not ok or (kind in (float, complex) and not cmath.isfinite(value)):
+            raise ConfigError(f"'{name}' must be {noun}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -41,36 +68,39 @@ class Numerics:
     dim_limit: int = 4096
     output_points: int = 500
 
+    def __post_init__(self):
+        check_fields(self)
+        if min(self.rtol, self.atol, self.max_step_bin_frac) <= 0:
+            raise ConfigError("rtol, atol and max_step_bin_frac must be positive")
+        if self.dim_limit < 1 or self.output_points < 2:
+            raise ConfigError("need dim_limit >= 1 and output_points >= 2")
+
 
 @dataclass(frozen=True)
 class SystemConfig:
+    """Emitter chain and drive; emitters get the dark level D when gamma_D > 0."""
+
     alpha: complex = 0.9  # drive amplitude, units sqrt(kappa)
     kappa: float = 1.0
     Gamma: float = 0.0  # waveguide loss, units kappa
     gamma_D: float = 0.0  # dark-state transfer, units kappa
     M: int = 1
-    emitter_levels: int | None = None  # 2 or 3; None resolves per gamma_D
     cavity_cutoff: int | None = None  # None resolves per bin
     numerics: Numerics = Numerics()
 
     def __post_init__(self):
+        check_fields(self)
         if self.kappa <= 0:
             raise ConfigError("kappa must be positive")
         if self.Gamma < 0 or self.gamma_D < 0:
             raise ConfigError("Gamma and gamma_D must be non-negative")
         if self.M < 0:
             raise ConfigError("emitter count M must be non-negative")
-        if self.emitter_levels not in (None, 2, 3):
-            raise ConfigError("emitter_levels must be 2 or 3")
-        if self.emitter_levels == 2 and self.gamma_D > 0:
-            raise ConfigError("two-level emitters require gamma_D = 0")
         if self.cavity_cutoff is not None and self.cavity_cutoff < 2:
             raise ConfigError("cavity_cutoff must be at least 2")
 
     @property
     def levels(self) -> int:
-        if self.emitter_levels is not None:
-            return self.emitter_levels
         return 3 if self.gamma_D > 0 else 2
 
     @property
@@ -90,18 +120,16 @@ class SystemConfig:
 class BinSpec:
     """Flat capture mode v(t) = 1/sqrt(tau) on (t0, t0 + tau]."""
 
-    t0: float
-    tau: float
+    t0: float = 0.0
+    tau: float = 1.0
     g_max: float | None = None  # clamp on |g|, units sqrt(kappa); default 1e3
-    mode: str = "flat"
 
     def __post_init__(self):
+        check_fields(self)
         if self.t0 < 0:
             raise ConfigError("bin start t0 must be non-negative")
         if self.tau <= 0:
             raise ConfigError("bin width tau must be positive")
-        if self.mode != "flat":
-            raise ConfigError("only the flat capture mode is supported")
         if self.g_max is not None and self.g_max <= 0:
             raise ConfigError("g_max must be positive")
 

@@ -1,4 +1,4 @@
-"""Deterministic grid search over drive and bin parameters.
+"""Deterministic grid search over the scalar fields of SystemConfig and BinSpec.
 
 Every grid point is evaluated exactly once, in the order generated from the
 axes; results are reported sorted by objective (descending) with a stable
@@ -22,29 +22,32 @@ import numpy as np
 
 from .errors import ConfigError
 from .integrator import propagate
-from .metrology import crb, extract_moments, jz_sensitivity
-from .model import BinSpec, SystemConfig
+from .metrology import DEFAULT_N_B, crb, extract_moments, jz_sensitivity
+from .model import BinSpec, SystemConfig, check_fields
 from .wigner import wigner_grid
 
 OBJECTIVES = ("negativity", "jz_improvement", "crb_improvement")
-AXIS_NAMES = ("alpha", "t0", "tau", "Gamma", "gamma_D", "M")
+# sweepable field name -> the dataclass that owns it
+AXES = {f.name: cls for cls in (SystemConfig, BinSpec) for f in dataclasses.fields(cls)
+        if not dataclasses.is_dataclass(f.default)}
 
 
 @dataclass(frozen=True)
 class SweepPlan:
-    axes: tuple  # ordered ((name, (values...)), ...)
+    axes: tuple = ()  # ordered ((name, (values...)), ...)
     objective: str = "negativity"
     budget: int = 10_000
-    N_b: float = 100.0  # used by the metrology objectives
+    N_b: float = DEFAULT_N_B  # used by the metrology objectives
 
     def __post_init__(self):
-        if not self.axes:
-            raise ConfigError("sweep needs at least one axis")
+        check_fields(self)
+        if not isinstance(self.axes, tuple) or not self.axes:
+            raise ConfigError("sweep needs a tuple of one or more (name, values) axes")
         for name, values in self.axes:
-            if name not in AXIS_NAMES:
+            if name not in AXES:
                 raise ConfigError(f"unknown sweep axis {name!r}")
-            if len(values) == 0:
-                raise ConfigError(f"axis {name!r} has no values")
+            if not isinstance(values, (tuple, list)) or len(values) == 0:
+                raise ConfigError(f"axis {name!r} needs a non-empty sequence, got {values!r}")
         if self.objective not in OBJECTIVES:
             raise ConfigError(f"objective must be one of {OBJECTIVES}")
         n = self.n_points
@@ -76,27 +79,19 @@ def _point_id(params: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _apply_params(base_cfg: SystemConfig, base_bin: BinSpec, params: dict):
-    cfg_kwargs = {}
-    bin_kwargs = {}
-    for name, val in params.items():
-        if name in ("t0", "tau"):
-            bin_kwargs[name] = float(val)
-        elif name == "M":
-            cfg_kwargs[name] = int(val)
-        elif name == "alpha":
-            cfg_kwargs[name] = complex(val)
-        else:
-            cfg_kwargs[name] = float(val)
-    cfg = dataclasses.replace(base_cfg, **cfg_kwargs) if cfg_kwargs else base_cfg
-    bin = dataclasses.replace(base_bin, **bin_kwargs) if bin_kwargs else base_bin
-    return cfg, bin
+def apply_params(base_cfg: SystemConfig, base_bin: BinSpec, params: dict):
+    """(config, bin) with each swept field replaced on the dataclass that owns it."""
+    def part(base):
+        return dataclasses.replace(base, **{k: v for k, v in params.items()
+                                            if AXES[k] is type(base)})
+
+    return part(base_cfg), part(base_bin)
 
 
 def _evaluate_point(index: int, params: dict, base_cfg: SystemConfig,
                     base_bin: BinSpec, plan: SweepPlan, out_dir: Path | None):
     try:
-        cfg, bin = _apply_params(base_cfg, base_bin, params)
+        cfg, bin = apply_params(base_cfg, base_bin, params)
         traj = propagate(cfg, bin)
         mom = extract_moments(traj.rho_v)
         if plan.objective == "negativity":
@@ -150,18 +145,14 @@ def max_workers() -> int:
 
 
 def run_sweep(plan: SweepPlan, base_cfg: SystemConfig,
-              base_bin: BinSpec | None = None, out_dir=None,
+              base_bin: BinSpec = BinSpec(), out_dir=None,
               parallel: bool = True) -> list[SweepRow]:
     """Evaluate the grid and return rows sorted by objective, best first.
 
-    ``base_bin`` provides the bin fields not swept over (required unless both
-    t0 and tau are axes).  ``CWL_THREADS`` caps the worker count.
+    ``base_bin`` provides the bin fields not swept over.  ``CWL_THREADS`` caps
+    the worker count.
     """
     names = [name for name, _ in plan.axes]
-    if base_bin is None:
-        if "t0" not in names or "tau" not in names:
-            raise ConfigError("base_bin required unless both t0 and tau are swept")
-        base_bin = BinSpec(t0=0.0, tau=1.0)
     out_path = Path(out_dir) if out_dir is not None else None
 
     points = []

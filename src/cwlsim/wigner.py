@@ -185,9 +185,9 @@ def wigner_grid(rho, bounds=None, spacing: float = DEFAULT_SPACING) -> WignerRes
     around the mean amplitude.  The stored negativity is converged under grid
     refinement to better than 1 percent (or below an absolute floor).
     """
-    if spacing > MAX_SPACING:
+    if not 0 < spacing <= MAX_SPACING:
         raise GridTooCoarseError(
-            f"grid spacing {spacing} too coarse (maximum {MAX_SPACING})"
+            f"grid spacing {spacing} must be positive and at most {MAX_SPACING}"
         )
     mat = _as_single_mode(rho)
     if bounds is None:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import subprocess
@@ -154,9 +155,27 @@ def test_config_error_exit_code(tmp_path):
     ("bin", None, [0.2, 0.8]),
     ("system", None, "none"),
     ("grid", "bounds", [-4, 4]),
+    ("system", "Gama", 0.1),
+    ("bin", "tua", 0.8),
+    ("metrology", "crb", "false"),
+    ("metrology", "phi_points", 50),
+    ("grid", "spacing", 0),
+    ("grid", "spacing", -0.05),
+    ("sweep", "axes", {"tau": 1.0}),
+    ("sweep", "axes", {"M": [0.5]}),
+    ("system", "kappa", math.nan),
+    ("system", "numerics", {"output_points": 0}),
+    ("system", "numerics", {"atol": -1}),
+    ("system", "numerics", {"max_step_bin_frac": 0}),
+    ("system", "emitter_levels", 2),
+    ("bin", "mode", "flat"),
+    ("sytem", None, {"M": 0}),
 ], ids=["mode", "M-str", "M-frac", "levels-float", "cutoff-frac", "dim_limit-frac",
         "output_points-str", "kappa-null", "alpha-str", "g_max-str", "bin-list",
-        "system-str", "bounds-flat"])
+        "system-str", "bounds-flat", "Gamma-typo", "tau-typo", "crb-str", "phi_points-low",
+        "spacing-zero", "spacing-negative", "axis-scalar", "axis-M-frac", "kappa-nan",
+        "output_points-zero", "atol-negative", "max_step-zero", "levels-legacy",
+        "mode-legacy", "section-typo"])
 def test_malformed_config_is_configuration_error(tmp_path, capsys, section, key, value):
     doc = {name: dict(sec) for name, sec in BASE.items()}
     if key is None:
@@ -164,8 +183,21 @@ def test_malformed_config_is_configuration_error(tmp_path, capsys, section, key,
     else:
         doc.setdefault(section, {})[key] = value
     cfg = write_config(tmp_path, doc)
-    assert main(["wigner", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    command = section if section in ("metrology", "sweep") else "wigner"
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     assert "configuration error:" in capsys.readouterr().err
+
+
+def test_omitted_keys_take_dataclass_defaults(tmp_path):
+    from cwlsim.model import BinSpec, SystemConfig
+
+    cfg = write_config(tmp_path, {"system": {"M": 0}})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    snap = json.loads((out / "manifest.json").read_text())["config"]
+    expected = json.loads(dumps_json({"system": dataclasses.asdict(SystemConfig(M=0)),
+                                      "bin": dataclasses.asdict(BinSpec())}))
+    assert snap == expected
 
 
 def test_unknown_flag_reports_usage():

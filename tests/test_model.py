@@ -118,9 +118,31 @@ def test_jump_operator_counting_m3():
     assert rates == [1.0] + [0.2] * 3 + [0.3] * 3
 
 
-def test_two_level_requires_zero_dark_rate():
+@pytest.mark.parametrize("kwargs", [
+    {"M": 0.5}, {"M": 2.0}, {"M": True}, {"kappa": math.nan}, {"Gamma": math.inf},
+    {"alpha": complex(0.5, math.nan)}, {"alpha": "0.5"}, {"cavity_cutoff": 6.5},
+])
+def test_system_fields_typed_and_finite(kwargs):
     with pytest.raises(ConfigError):
-        SystemConfig(alpha=0.5, M=1, gamma_D=0.5, emitter_levels=2)
+        SystemConfig(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"rtol": 0.0}, {"atol": -1.0}, {"max_step_bin_frac": 0.0}, {"dim_limit": 0},
+    {"output_points": 1}, {"output_points": 0}, {"rtol": math.nan}, {"dim_limit": 64.0},
+])
+def test_numerics_validates_itself(kwargs):
+    from cwlsim.model import Numerics
+
+    with pytest.raises(ConfigError):
+        Numerics(**kwargs)
+
+
+def test_bin_defaults_and_fields():
+    assert BinSpec() == BinSpec(t0=0.0, tau=1.0)
+    for kwargs in ({"t0": math.nan}, {"tau": math.inf}, {"g_max": "big"}):
+        with pytest.raises(ConfigError):
+            BinSpec(**kwargs)
 
 
 def test_dimension_guard():
@@ -199,7 +221,7 @@ def test_liouvillian_linearity(seed):
 
 def test_excited_population_decay_rate():
     # at zero drive the excited population obeys dp/dt = -(k + G + gD) p
-    cfg = SystemConfig(alpha=0.0, M=1, Gamma=0.4, gamma_D=0.3, emitter_levels=3)
+    cfg = SystemConfig(alpha=0.0, M=1, Gamma=0.4, gamma_D=0.3)
     b = BinSpec(t0=10.0, tau=1.0)
     cav = resolve_cutoff(cfg, b) + 1
     dim = 3 * cav

@@ -116,3 +116,36 @@ def test_artifacts_written(tmp_path):
     assert rows[0].artifact is not None
     dm = read_density_matrix(rows[0].artifact)
     assert dm.dim >= 3
+
+
+def test_axis_values_must_be_a_sequence():
+    with pytest.raises(ConfigError):
+        SweepPlan(axes=(("tau", 1.0),))
+
+
+def test_non_integer_chain_length_is_an_error_row():
+    plan = SweepPlan(axes=(("M", (0.5, 0)),), objective="negativity")
+    rows = run_sweep(plan, SystemConfig(alpha=0.5, M=0), BinSpec(t0=0.0, tau=0.5),
+                     parallel=False)
+    bad = [r for r in rows if r.params["M"] == 0.5]
+    assert len(bad) == 1 and bad[0].error.startswith("ConfigError")
+    assert all(r.error is None for r in rows if r.params["M"] == 0)
+
+
+def test_cli_complex_alpha_axis(tmp_path):
+    import json
+
+    from cwlsim.cli import main
+
+    doc = {
+        "system": {"alpha": 0.5, "M": 0},
+        "bin": {"t0": 0.2, "tau": 0.8},
+        "sweep": {"axes": {"alpha": [[0.3, 0.1], 0.5]}, "objective": "negativity"},
+    }
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    rows = json.loads((tmp_path / "out" / "sweep.json").read_text())
+    assert len(rows) == 2
+    assert all(r["error"] is None for r in rows)
+    assert sorted(json.dumps(r["params"]["alpha"]) for r in rows) == ["0.5", "[0.3, 0.1]"]

@@ -145,6 +145,12 @@ def test_coarse_grid_rejected():
         wigner_grid(pure_density(fock_state(0, 5)), spacing=0.2)
 
 
+@pytest.mark.parametrize("spacing", [0.0, -0.05, math.nan])
+def test_non_positive_spacing_rejected(spacing):
+    with pytest.raises(GridTooCoarseError):
+        wigner_grid(pure_density(fock_state(0, 5)), spacing=spacing)
+
+
 def test_default_bounds_centered_on_mean():
     beta = 2.0 + 1.0j
     dm = pure_density(coherent_state(beta, 40))
