@@ -4,6 +4,8 @@ Adaptive DOP853 stepping (embedded Runge-Kutta, order 8(5,3)) on the
 vectorized density matrix, split exactly at the generator discontinuities t0
 and t0 + tau.  Emitter populations are sampled on a uniform output grid from
 the solver's dense output; the full state is never stored along the way.
+The stepper makes no BLAS call, so the result is bit-identical at any BLAS
+thread count.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import DOP853
+from scipy.integrate._ivp import dop853_coefficients as _dop
 from scipy.linalg import eigh
 
 from .errors import CutoffConvergenceError, StepSizeError
@@ -24,15 +26,38 @@ POSITIVITY_SAMPLES = 10
 CUTOFF_CHECK_STEP = 4
 CUTOFF_CHECK_TOL = 1e-6
 
+# DOP853 tableau: _N stages per step, row _N is f at the step end, rows
+# _N+1.. are the extra stages of the dense output
+_N = _dop.N_STAGES
+_A, _B, _C, _D = _dop.A, _dop.B, _dop.C, _dop.D
+_E = np.stack([_dop.E5, _dop.E3])  # 5th- and 3rd-order error estimators
+ERROR_ORDER = 7
+ERROR_EXPONENT = -1 / (ERROR_ORDER + 1)
+SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
+
 
 @dataclass(frozen=True)
 class Diagnostics:
+    """Counters of the propagation (the ``verify_cutoff`` rerun excluded)."""
+
     cutoff: int
-    n_steps: int
+    n_steps: int  # accepted steps
+    n_rhs: int  # Generator.apply_vec calls
+    n_rejected: int  # rejected step attempts
+    h_min: float  # smallest accepted step, steps cut short at a segment end excepted
     trace_drift_max: float
     positivity_min: float
     hermiticity_max: float
     cutoff_check: float | None = None  # trace distance to the cutoff+4 run
+
+
+@dataclass
+class _Counters:
+    n_steps: int = 0
+    n_rhs: int = 0
+    n_rejected: int = 0
+    h_min: float = math.inf
+    drift_max: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -47,41 +72,173 @@ class Trajectory:
     frame_displacement: complex = 0.0  # nonzero only for displaced-frame runs
 
 
+def _stage_sum(coef: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """sum_j coef[j] rows[j] with a real ``coef``, on float64 views.
+
+    ``np.einsum`` without ``optimize`` never calls BLAS, so the sum is the same
+    bit for bit at any BLAS thread count.
+    """
+    return np.einsum("j,jk->k", coef, rows)
+
+
+class _Dop853:
+    """Adaptive DOP853 8(5,3) stepper on a complex state vector.
+
+    Hairer, Norsett & Wanner, *Solving ODEs I*, Sec. II.10, with scipy's
+    tableau, step controller and initial-step rule.  Every stage sum, error
+    norm and dense-output combination runs on the float64 view of the stage
+    array (the coefficients are real), so no step goes through BLAS.
+    """
+
+    def __init__(self, fun, t: float, y: np.ndarray, t_bound: float,
+                 rtol: float, atol: float, max_step: float):
+        self.fun, self.t, self.y, self.t_bound = fun, t, y, t_bound
+        self.rtol, self.atol, self.max_step = rtol, atol, max_step
+        self.n_rhs = 0
+        self.n_rejected = 0
+        self.K = np.empty((_dop.N_STAGES_EXTENDED, y.size), dtype=complex)
+        self.Kf = self.K.view(np.float64)
+        self.f = self._rhs(t, y)
+        self.h_abs = self._initial_step()
+        self.t_old = self.y_old = self.f_old = self.h = None
+
+    def _rhs(self, t: float, y: np.ndarray) -> np.ndarray:
+        self.n_rhs += 1
+        return self.fun(t, y)
+
+    def _rms(self, x: np.ndarray, scale: np.ndarray) -> float:
+        xs = x.view(np.float64).reshape(-1, 2) / scale[:, None]
+        return math.sqrt(np.einsum("ij,ij->", xs, xs) / scale.size)
+
+    def _initial_step(self) -> float:
+        """Hairer's starting-step rule for an error estimator of order 7."""
+        t, y, f0 = self.t, self.y, self.f
+        span = self.t_bound - t
+        scale = self.atol + np.abs(y) * self.rtol
+        d0, d1 = self._rms(y, scale), self._rms(f0, scale)
+        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+        h0 = min(h0, span)
+        f1 = self._rhs(t + h0, y + h0 * f0)
+        d2 = self._rms(f1 - f0, scale) / h0
+        if d1 <= 1e-15 and d2 <= 1e-15:
+            h1 = max(1e-6, h0 * 1e-3)
+        else:
+            h1 = (0.01 / max(d1, d2)) ** (1 / (ERROR_ORDER + 1))
+        return min(100 * h0, h1, span, self.max_step)
+
+    def _stage(self, s: int, t: float, yf: np.ndarray, h: float) -> None:
+        ys = yf + _stage_sum(h * _A[s, :s], self.Kf[:s])
+        self.K[s] = self._rhs(t + _C[s] * h, ys.view(complex))
+
+    def _error_norm(self, h: float, y_new: np.ndarray) -> float:
+        scale = self.atol + np.maximum(np.abs(self.y), np.abs(y_new)) * self.rtol
+        err = np.einsum("ej,jk->ek", _E, self.Kf[:_N + 1]).reshape(2, -1, 2)
+        err /= scale[:, None]
+        e5, e3 = np.einsum("eki,eki->e", err, err)
+        if e5 == 0 and e3 == 0:
+            return 0.0
+        return h * e5 / math.sqrt((e5 + 0.01 * e3) * scale.size)
+
+    def _rk_step(self, t: float, y: np.ndarray, f: np.ndarray, h: float) -> np.ndarray:
+        """The 8th-order solution at t + h; fills stage rows 0.._N-1."""
+        yf = y.view(np.float64)
+        self.K[0] = f
+        for s in range(1, _N):
+            self._stage(s, t, yf, h)
+        return (yf + _stage_sum(h * _B, self.Kf[:_N])).view(complex)
+
+    def step(self) -> None:
+        """Take one accepted step; raise StepSizeError when h underflows."""
+        t, y = self.t, self.y
+        min_step = 10 * abs(np.nextafter(t, np.inf) - t)
+        h_abs = min(self.max_step, max(self.h_abs, min_step))
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise StepSizeError(t, f"step size fell below {min_step:.2e} at t={t:.6g}")
+            t_new = min(t + h_abs, self.t_bound)
+            h = t_new - t
+            y_new = self._rk_step(t, y, self.f, h)
+            f_new = self._rhs(t_new, y_new)
+            self.K[_N] = f_new
+            err = self._error_norm(h, y_new)
+            if err < 1:
+                break
+            h_abs = h * max(MIN_FACTOR, SAFETY * err**ERROR_EXPONENT)
+            rejected = True
+            self.n_rejected += 1
+        factor = MAX_FACTOR if err == 0 else min(MAX_FACTOR, SAFETY * err**ERROR_EXPONENT)
+        if rejected:
+            factor = min(1.0, factor)
+        self.h_abs = h * factor
+        self.t_old, self.y_old, self.f_old, self.h = t, y, self.f, h
+        self.t, self.y, self.f = t_new, y_new, f_new
+
+    def state_at(self, t: float) -> np.ndarray:
+        """The state at ``t`` in the last accepted step, by one RK step from its start.
+
+        Unlike the dense output this carries the step's own error bound: on
+        steps whose length is set by stability rather than accuracy, as in a
+        settled emitter chain, the interpolant can be off by 1e-7 mid-step
+        while a direct step stays within 1e-10.  Overwrites the stages, so
+        ``dense_output`` must come first when both are needed for this step.
+        """
+        if t >= self.t:
+            return self.y
+        return self._rk_step(self.t_old, self.y_old, self.f_old, t - self.t_old)
+
+    def dense_output(self):
+        """Order-7 interpolant over the last accepted step, as ``interp(t)``."""
+        t_old, h, Kf = self.t_old, self.h, self.Kf
+        yf_old = self.y_old.view(np.float64)
+        for s in range(_N + 1, _dop.N_STAGES_EXTENDED):
+            self._stage(s, t_old, yf_old, h)
+        f_old = self.f_old.view(np.float64)
+        dy = self.y.view(np.float64) - yf_old
+        F = np.empty((_dop.INTERPOLATOR_POWER, dy.size))
+        F[0] = dy
+        F[1] = h * f_old - dy
+        F[2] = 2 * dy - h * (self.f.view(np.float64) + f_old)
+        F[3:] = np.einsum("ij,jk->ik", h * _D, Kf)
+
+        def interp(t: float) -> np.ndarray:
+            x = (t - t_old) / h
+            # x, x(1-x), x^2(1-x), ..., x^4(1-x)^3: scipy's nested product
+            weights = np.cumprod([x, 1 - x] * 3 + [x])
+            return (yf_old + _stage_sum(weights, F)).view(complex)
+
+        return interp
+
+
 def _integrate_segment(gen: Generator, t_start: float, t_end: float, y0: np.ndarray,
                        sample_times: np.ndarray, collect, max_step: float,
-                       check_times: list[float], check_out: list, dim: int):
+                       check_times: list[float], check_out: list, dim: int,
+                       counters: _Counters) -> np.ndarray:
     """Step from t_start to t_end, sampling ``sample_times`` via dense output.
 
     ``collect(t, y)`` is called for every sample time in order; states at
-    ``check_times`` are appended to ``check_out`` for positivity sampling.
-    Returns (y_end, n_steps, trace_drift_max).
+    ``check_times``, each from a direct step (``_Dop853.state_at``), are
+    appended to ``check_out`` for positivity sampling.
+    Step, RHS and drift counts are added to ``counters``.  Returns y_end.
     """
     num = gen.cfg.numerics
     if t_end <= t_start:
-        return y0, 0, 0.0
-    solver = DOP853(
-        lambda t, y: gen.apply_vec(t, y),
-        t_start,
-        y0,
-        t_end,
-        rtol=num.rtol,
-        atol=num.atol,
-        max_step=max_step,
-    )
+        return y0
+    solver = _Dop853(gen.apply_vec, t_start, y0, t_end, num.rtol, num.atol, max_step)
     idx = 0
     n_samples = len(sample_times)
-    drift_max = 0.0
     n_steps = 0
     check_iter = iter(check_times)
     next_check = next(check_iter, None)
     diag_idx = np.arange(dim) * (dim + 1)  # diagonal of vec(rho)
-    while solver.status == "running":
-        msg = solver.step()
-        if solver.status == "failed":
-            raise StepSizeError(solver.t, msg or f"integration failed at t={solver.t}")
+    while solver.t < t_end:
+        solver.step()
         n_steps += 1
+        # the last step is cut short to land on t_end: it says nothing of h
+        if solver.t < t_end or n_steps == 1:
+            counters.h_min = min(counters.h_min, solver.h)
         drift = abs(np.sum(solver.y[diag_idx]) - 1.0)
-        drift_max = max(drift_max, drift)
+        counters.drift_max = max(counters.drift_max, drift)
         if drift > TRACE_DRIFT_TOL:
             raise StepSizeError(
                 solver.t, f"trace drifted by {drift:.2e} at t={solver.t:.6g}"
@@ -94,10 +251,7 @@ def _integrate_segment(gen: Generator, t_start: float, t_end: float, y0: np.ndar
             collect(sample_times[idx], interp(ts))
             idx += 1
         while next_check is not None and next_check <= solver.t + 1e-15:
-            if interp is None:
-                interp = solver.dense_output()
-            ts = min(max(next_check, solver.t_old), solver.t)
-            check_out.append(interp(ts))
+            check_out.append(solver.state_at(next_check))
             next_check = next(check_iter, None)
     while idx < n_samples:  # samples landing exactly on t_end
         collect(sample_times[idx], solver.y)
@@ -105,7 +259,10 @@ def _integrate_segment(gen: Generator, t_start: float, t_end: float, y0: np.ndar
     while next_check is not None:
         check_out.append(solver.y)
         next_check = next(check_iter, None)
-    return solver.y, n_steps, drift_max
+    counters.n_steps += n_steps
+    counters.n_rhs += solver.n_rhs
+    counters.n_rejected += solver.n_rejected
+    return solver.y
 
 
 def _run(cfg: SystemConfig, bin: BinSpec, cav_dim: int, displaced: bool):
@@ -138,8 +295,7 @@ def _run(cfg: SystemConfig, bin: BinSpec, cav_dim: int, displaced: bool):
     check_times = list(np.linspace(0.0, t_end, POSITIVITY_SAMPLES + 1)[1:])
     check_states: list[np.ndarray] = []
 
-    drift_max = 0.0
-    n_steps = 0
+    counters = _Counters()
     max_step_bin = num.max_step_bin_frac * bin.tau
 
     if bin.t0 > 0:
@@ -154,12 +310,10 @@ def _run(cfg: SystemConfig, bin: BinSpec, cav_dim: int, displaced: bool):
         collect_pre(0.0, y_pre)
         seg_samples = grid[(grid > 0.0) & (grid <= bin.t0)]
         pre_checks = [t for t in check_times if t <= bin.t0]
-        y_pre, ns, dr = _integrate_segment(
+        y_pre = _integrate_segment(
             gen_pre, 0.0, bin.t0, y_pre, seg_samples, collect_pre, np.inf,
-            pre_checks, check_states, dim_pre,
+            pre_checks, check_states, dim_pre, counters,
         )
-        n_steps += ns
-        drift_max = max(drift_max, dr)
         rho_e = y_pre.reshape(dim_pre, dim_pre)
         vac = np.zeros((cav_dim, cav_dim), dtype=complex)
         vac[0, 0] = 1.0
@@ -172,12 +326,10 @@ def _run(cfg: SystemConfig, bin: BinSpec, cav_dim: int, displaced: bool):
 
     seg_samples = grid[grid > bin.t0]
     bin_checks = [t for t in check_times if t > bin.t0]
-    y, ns, dr = _integrate_segment(
+    y = _integrate_segment(
         gen, bin.t0, t_end, y, seg_samples, collect, max_step_bin,
-        bin_checks, check_states, dim,
+        bin_checks, check_states, dim, counters,
     )
-    n_steps += ns
-    drift_max = max(drift_max, dr)
 
     rho_end = y.reshape(dim, dim)
     herm_max = float(np.max(np.abs(rho_end - rho_end.conj().T)))
@@ -190,14 +342,14 @@ def _run(cfg: SystemConfig, bin: BinSpec, cav_dim: int, displaced: bool):
         m = (m + m.conj().T) / 2
         pos_min = min(pos_min, float(np.min(eigh(m, eigvals_only=True))))
 
-    return rho_t0, rho_end, pops, cav, grid, n_steps, drift_max, herm_max, pos_min
+    return rho_t0, rho_end, pops, cav, grid, counters, herm_max, pos_min
 
 
 def _propagate_impl(cfg: SystemConfig, bin: BinSpec, displaced: bool,
                     verify_cutoff: bool) -> Trajectory:
     cutoff = resolve_cutoff(cfg, bin)
     cav_dim = cutoff + 1
-    (rho_t0, rho_end, pops, cav, grid, n_steps, drift_max, herm_max,
+    (rho_t0, rho_end, pops, cav, grid, counters, herm_max,
      pos_min) = _run(cfg, bin, cav_dim, displaced)
 
     cutoff_check = None
@@ -228,8 +380,11 @@ def _propagate_impl(cfg: SystemConfig, bin: BinSpec, displaced: bool,
     )
     diag = Diagnostics(
         cutoff=cutoff,
-        n_steps=n_steps,
-        trace_drift_max=drift_max,
+        n_steps=counters.n_steps,
+        n_rhs=counters.n_rhs,
+        n_rejected=counters.n_rejected,
+        h_min=float(counters.h_min),
+        trace_drift_max=counters.drift_max,
         positivity_min=pos_min,
         hermiticity_max=herm_max,
         cutoff_check=cutoff_check,

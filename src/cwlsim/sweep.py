@@ -4,16 +4,27 @@ Every grid point is evaluated exactly once, in the order generated from the
 axes; results are reported sorted by objective (descending) with a stable
 tie-break on the grid index, so parallel and sequential execution produce
 identical tables.  Per-point failures are recorded, not fatal.
+
+Parallel sweeps run one forked worker process per usable CPU.  Fork, not
+spawn: a spawned worker re-imports numpy, scipy and cwlsim (about 1 s each),
+which costs more than a typical sweep saves, while a forked one inherits the
+loaded modules and the generator cache.  The propagation makes no BLAS call,
+so the workers need no BLAS thread pinning and a row does not depend on the
+process that computed it.  Fork copies only the calling thread: a program
+that holds locks in other Python threads while it sweeps should set
+``CWL_THREADS=1``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
+import multiprocessing
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
@@ -24,6 +35,7 @@ from .errors import ConfigError
 from .integrator import propagate
 from .metrology import DEFAULT_N_B, crb, extract_moments, jz_sensitivity
 from .model import BinSpec, SystemConfig, check_fields
+from .serialize import write_density_matrix
 from .wigner import wigner_grid
 
 OBJECTIVES = ("negativity", "jz_improvement", "crb_improvement")
@@ -106,8 +118,6 @@ def _evaluate_point(index: int, params: dict, base_cfg: SystemConfig,
                 value = sn / dphi_cr - 1.0
         artifact = None
         if out_dir is not None:
-            from .serialize import write_density_matrix
-
             pdir = out_dir / "artifacts" / _point_id(params)
             pdir.mkdir(parents=True, exist_ok=True)
             artifact = str(pdir / "rho_v.json")
@@ -134,6 +144,7 @@ def _evaluate_point(index: int, params: dict, base_cfg: SystemConfig,
 
 
 def max_workers() -> int:
+    """``CWL_THREADS`` if set, else the CPUs this process may run on."""
     env = os.environ.get("CWL_THREADS", "")
     if env.strip():
         try:
@@ -141,6 +152,8 @@ def max_workers() -> int:
         except ValueError as exc:
             raise ConfigError(f"CWL_THREADS must be an integer, got {env!r}") from exc
         return max(1, n)
+    if hasattr(os, "sched_getaffinity"):  # honours taskset and cpuset limits
+        return max(1, len(os.sched_getaffinity(0)))
     return max(1, os.cpu_count() or 1)
 
 
@@ -149,8 +162,9 @@ def run_sweep(plan: SweepPlan, base_cfg: SystemConfig,
               parallel: bool = True) -> list[SweepRow]:
     """Evaluate the grid and return rows sorted by objective, best first.
 
-    ``base_bin`` provides the bin fields not swept over.  ``CWL_THREADS`` caps
-    the worker count.
+    ``base_bin`` provides the bin fields not swept over.  With ``parallel``
+    the points run on ``min(max_workers(), n_points)`` forked worker
+    processes; where fork is unavailable they run in this process.
     """
     names = [name for name, _ in plan.axes]
     out_path = Path(out_dir) if out_dir is not None else None
@@ -159,20 +173,14 @@ def run_sweep(plan: SweepPlan, base_cfg: SystemConfig,
     for index, combo in enumerate(product(*(vals for _, vals in plan.axes))):
         points.append((index, dict(zip(names, combo))))
 
-    nw = max_workers() if parallel else 1
-    if nw > 1 and len(points) > 1:
-        with ThreadPoolExecutor(max_workers=nw) as pool:
-            rows = list(
-                pool.map(
-                    lambda p: _evaluate_point(p[0], p[1], base_cfg, base_bin, plan, out_path),
-                    points,
-                )
-            )
+    evaluate = functools.partial(_evaluate_point, base_cfg=base_cfg, base_bin=base_bin,
+                                 plan=plan, out_dir=out_path)
+    nw = min(max_workers(), len(points)) if parallel else 1
+    if nw > 1 and "fork" in multiprocessing.get_all_start_methods():
+        with ProcessPoolExecutor(nw, mp_context=multiprocessing.get_context("fork")) as pool:
+            rows = list(pool.map(evaluate, *zip(*points)))
     else:
-        rows = [
-            _evaluate_point(i, params, base_cfg, base_bin, plan, out_path)
-            for i, params in points
-        ]
+        rows = [evaluate(i, params) for i, params in points]
 
     def sort_key(row: SweepRow):
         bad = 1 if (row.error is not None or not np.isfinite(row.objective)) else 0

@@ -31,6 +31,9 @@ def test_simulate_writes_outputs_and_manifest(tmp_path):
     man = json.loads((out / "manifest.json").read_text())
     assert man["subcommand"] == "simulate"
     assert man["diagnostics"]["coherent_fidelity"] >= 0.9999
+    diag = man["diagnostics"]
+    assert diag["n_rhs"] > 12 * diag["n_steps"] > 0
+    assert diag["n_rejected"] >= 0 and diag["h_min"] > 0
     listed = {Path(p).name for p in man["outputs"]}
     assert {"trajectory.csv", "rho_v.json"} <= listed
     for p in man["outputs"]:

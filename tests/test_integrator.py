@@ -136,3 +136,158 @@ def test_steady_even_chain_returns_coherent():
     beta = cfg.alpha_phys * math.sqrt(b.tau)
     target = pure_density(coherent_state(beta, traj.rho_v.dim - 1))
     assert fidelity(traj.rho_v, target) > 0.99
+
+
+def test_n_rhs_counts_every_generator_call(monkeypatch):
+    from cwlsim.model import Generator
+
+    calls = []
+    apply_vec = Generator.apply_vec
+
+    def counting(self, t, y):
+        calls.append(t)
+        return apply_vec(self, t, y)
+
+    monkeypatch.setattr(Generator, "apply_vec", counting)
+    diag = propagate(SystemConfig(alpha=0.6, M=1), BinSpec(t0=0.4, tau=0.9)).diagnostics
+    assert diag.n_rhs == len(calls)
+    # 12 stage evaluations per attempted step, plus dense-output stages
+    assert diag.n_rhs >= 12 * (diag.n_steps + diag.n_rejected)
+    assert 0 < diag.h_min <= 0.02 * 0.9
+
+
+def _scipy_segment(gen, t_start, t_end, y0, max_step):
+    from scipy.integrate import DOP853
+
+    num = gen.cfg.numerics
+    solver = DOP853(gen.apply_vec, t_start, y0, t_end, rtol=num.rtol, atol=num.atol,
+                    max_step=max_step)
+    n_steps = 0
+    while solver.status == "running":
+        solver.step()
+        n_steps += 1
+    assert solver.status == "finished"
+    return solver.y, n_steps
+
+
+def _own_segment(gen, t_start, t_end, y0, max_step):
+    from cwlsim.integrator import _Dop853
+
+    num = gen.cfg.numerics
+    stepper = _Dop853(gen.apply_vec, t_start, y0, t_end, num.rtol, num.atol, max_step)
+    n_steps = 0
+    while stepper.t < t_end:
+        stepper.step()
+        n_steps += 1
+    return stepper.y, n_steps
+
+
+def _metro_single():
+    from cwlsim.presets import METRO_SINGLE_BIN, METRO_SINGLE_CFG
+
+    return METRO_SINGLE_CFG, METRO_SINGLE_BIN, 1e-12
+
+
+def _parity_pair():
+    # The 40-unit pre-bin ends in the emitters' steady state, where the
+    # embedded error estimate is rounding noise: any other summation order
+    # moves the state there by 1e-12..1e-9 relative (6e-12 here), so that
+    # segment is held to the integration's own rtol.
+    from cwlsim.presets import PARITY_BIN, PARITY_DRIVE
+
+    cfg = SystemConfig(alpha=PARITY_DRIVE, M=2)
+    return cfg, PARITY_BIN, cfg.numerics.rtol
+
+
+@pytest.mark.parametrize("case", [_metro_single, _parity_pair])
+def test_stepper_matches_scipy_dop853(case):
+    from cwlsim.model import get_generator
+
+    cfg, b, pre_tol = case()
+    num = cfg.numerics
+
+    def rel(a, ref):
+        return np.linalg.norm(a - ref) / np.linalg.norm(ref)
+
+    gen_pre = get_generator(cfg, b, 1)
+    y0 = np.zeros(gen_pre.dim**2, dtype=complex)
+    y0[0] = 1.0
+    ref_pre, n_pre = _scipy_segment(gen_pre, 0.0, b.t0, y0, np.inf)
+    own_pre, n_own = _own_segment(gen_pre, 0.0, b.t0, y0, np.inf)
+    assert n_own == n_pre
+    assert rel(own_pre, ref_pre) < pre_tol
+
+    cav_dim = resolve_cutoff(cfg, b) + 1
+    vac = np.zeros((cav_dim, cav_dim), dtype=complex)
+    vac[0, 0] = 1.0
+    y_t0 = np.kron(ref_pre.reshape(gen_pre.dim, gen_pre.dim), vac).reshape(-1)
+    gen = get_generator(cfg, b, cav_dim)
+    max_step = num.max_step_bin_frac * b.tau
+    ref_bin, n_bin = _scipy_segment(gen, b.t0, b.t_end, y_t0, max_step)
+    own_bin, n_own = _own_segment(gen, b.t0, b.t_end, y_t0, max_step)
+    assert n_own == n_bin
+    assert rel(own_bin, ref_bin) < 1e-12
+    assert propagate(cfg, b).diagnostics.n_steps == n_pre + n_bin
+
+
+def test_positivity_samples_are_direct_steps():
+    # A settled four-emitter chain: the pre-bin steps are limited by stability,
+    # where the dense output misses by up to 1.4e-7 mid-step; the direct steps
+    # that give the positivity samples stay within 10 atol of a tight run.
+    from scipy.integrate import solve_ivp
+
+    from cwlsim.integrator import _Dop853
+    from cwlsim.model import get_generator
+    from cwlsim.presets import PARITY_BIN, PARITY_DRIVE
+
+    cfg = SystemConfig(alpha=PARITY_DRIVE, M=4)
+    num = cfg.numerics
+    gen = get_generator(cfg, PARITY_BIN, 1)
+    y0 = np.zeros(gen.dim**2, dtype=complex)
+    y0[0] = 1.0
+    checks = np.linspace(0.0, PARITY_BIN.t_end, 11)[1:10]
+    tight = solve_ivp(gen.apply_vec, (0.0, PARITY_BIN.t0), y0, method="DOP853",
+                      rtol=1e-13, atol=1e-15, t_eval=checks).y.T
+    stepper = _Dop853(gen.apply_vec, 0.0, y0, PARITY_BIN.t0, num.rtol, num.atol, np.inf)
+    errors = []
+    while stepper.t < PARITY_BIN.t0:
+        stepper.step()
+        for t, ref in zip(checks, tight):
+            if stepper.t_old < t <= stepper.t:
+                errors.append(np.max(np.abs(stepper.state_at(t) - ref)))
+    assert len(errors) == len(checks)
+    assert max(errors) < 10 * num.atol
+
+
+BLAS_PROBE = """
+import hashlib
+from cwlsim import SweepPlan, SystemConfig, propagate, run_sweep
+from cwlsim.presets import METRO_SINGLE_BIN, METRO_SINGLE_CFG, PARITY_BIN, PARITY_DRIVE
+
+rho_v = propagate(SystemConfig(alpha=PARITY_DRIVE, M=2), PARITY_BIN).rho_v.mat
+print(hashlib.sha256(rho_v.tobytes()).hexdigest())
+plan = SweepPlan(axes=(("t0", (1.5, 2.0)), ("tau", (4.0, 5.5))),
+                 objective="jz_improvement", N_b=100.0)
+for row in run_sweep(plan, METRO_SINGLE_CFG, METRO_SINGLE_BIN, parallel=False):
+    print(row.index, row.objective.hex())
+"""
+
+
+def test_results_independent_of_blas_threads():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import cwlsim
+
+    src = str(Path(cwlsim.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", BLAS_PROBE], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert len(outputs[0].splitlines()) == 5
+    assert outputs[0] == outputs[1]

@@ -1,12 +1,16 @@
 import math
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
+from cwlsim import sweep
 from cwlsim.errors import ConfigError
 from cwlsim.integrator import propagate
 from cwlsim.model import BinSpec, SystemConfig
-from cwlsim.sweep import SweepPlan, run_sweep
+from cwlsim.sweep import SweepPlan, max_workers, run_sweep
 from cwlsim.wigner import wigner_grid
 
 
@@ -29,15 +33,72 @@ def test_rows_sorted_by_objective():
     assert len(rows) == 4
 
 
-def test_parallel_equals_sequential():
+def _row_bits(row):
+    return (row.index, row.params, row.objective.hex(), row.n_a.hex(), row.cutoff,
+            row.trace_drift.hex(), row.error)
+
+
+class _PoolSpy(ProcessPoolExecutor):
+    sizes: list = []
+
+    def __init__(self, max_workers, **kwargs):
+        self.sizes.append(max_workers)
+        super().__init__(max_workers, **kwargs)
+
+
+def test_parallel_equals_sequential(monkeypatch):
+    monkeypatch.setenv("CWL_THREADS", "2")
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", _PoolSpy)
+    _PoolSpy.sizes = []
     cfg = SystemConfig(alpha=0.7, M=1)
-    plan = SweepPlan(axes=(("t0", (0.2, 0.8)), ("tau", (0.5, 1.0))),
+    # cavity_cutoff 3000 makes dim 6002 > dim_limit 4096: those points fail
+    # inside a worker and must come back as error rows
+    plan = SweepPlan(axes=(("t0", (0.2, 0.8)), ("tau", (0.5, 1.0)),
+                           ("cavity_cutoff", (None, 3000))),
                      objective="negativity")
     seq = run_sweep(plan, cfg, parallel=False)
     par = run_sweep(plan, cfg, parallel=True)
-    assert [(r.index, r.params, r.objective) for r in seq] == [
-        (r.index, r.params, r.objective) for r in par
-    ]
+    assert _PoolSpy.sizes == [2]
+    assert [_row_bits(r) for r in seq] == [_row_bits(r) for r in par]
+    errors = [r for r in par if r.error is not None]
+    assert len(errors) == 4
+    assert all(r.params["cavity_cutoff"] == 3000 for r in errors)
+    assert all(r.error.startswith("ConfigError") for r in errors)
+
+
+def test_pool_capped_at_point_count(monkeypatch):
+    monkeypatch.setenv("CWL_THREADS", "8")
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", _PoolSpy)
+    _PoolSpy.sizes = []
+    plan = SweepPlan(axes=(("tau", (0.5, 0.6)),), objective="negativity")
+    rows = run_sweep(plan, SystemConfig(alpha=0.5, M=0), BinSpec(t0=0.0, tau=0.5))
+    assert _PoolSpy.sizes == [2]
+    assert all(r.error is None for r in rows)
+
+
+def test_one_worker_starts_no_process(monkeypatch):
+    def no_child(*args, **kwargs):
+        raise AssertionError("the sweep started a child process")
+
+    monkeypatch.setenv("CWL_THREADS", "1")
+    monkeypatch.setattr(os, "fork", no_child)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_child)
+    plan = SweepPlan(axes=(("tau", (0.5, 0.6)),), objective="negativity")
+    rows = run_sweep(plan, SystemConfig(alpha=0.5, M=0), BinSpec(t0=0.0, tau=0.5))
+    assert len(rows) == 2 and all(r.error is None for r in rows)
+
+
+def test_max_workers(monkeypatch):
+    monkeypatch.delenv("CWL_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert max_workers() == 1
+    monkeypatch.setenv("CWL_THREADS", "3")
+    assert max_workers() == 3
+    monkeypatch.setenv("CWL_THREADS", "0")
+    assert max_workers() == 1
+    monkeypatch.setenv("CWL_THREADS", "two")
+    with pytest.raises(ConfigError):
+        max_workers()
 
 
 def test_rerun_reproduces_identical_tables(tmp_path):
