@@ -2,15 +2,20 @@
 
 Adaptive DOP853 stepping (embedded Runge-Kutta, order 8(5,3)) on the
 vectorized density matrix, split exactly at the generator discontinuities t0
-and t0 + tau.  Emitter populations are sampled on a uniform output grid from
-the solver's dense output; the full state is never stored along the way.
-The stepper makes no BLAS call, so the result is bit-identical at any BLAS
-thread count.
+and t0 + tau.  Both segments step by rtol/atol alone, with no step cap.  The
+in-bin segment [t0, t0 + tau] opens at the coupling's right limit: at t0
+itself the generator is evaluated just after t0, where g = -g_max, so the
+first stage and the starting-step rule see the open bin instead of the
+closed-bin g(t0) = 0.  Emitter populations are sampled on a uniform output
+grid from the solver's dense output; the full state is never stored along
+the way.  The stepper makes no BLAS call, so the result is bit-identical at
+any BLAS thread count.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +24,7 @@ from scipy.linalg import eigh
 
 from .errors import CutoffConvergenceError, StepSizeError
 from .hilbert import DensityMatrix, partial_trace
-from .model import BinSpec, Generator, SystemConfig, get_generator, resolve_cutoff
+from .model import BinSpec, Generator, Numerics, SystemConfig, get_generator, resolve_cutoff
 
 TRACE_DRIFT_TOL = 1e-8
 POSITIVITY_SAMPLES = 10
@@ -43,6 +48,10 @@ class Diagnostics:
     cutoff: int
     n_steps: int  # accepted steps
     n_rhs: int  # Generator.apply_vec calls
+    n_rhs_pre: int  # of which in the emitter-only segment before t0
+    n_rhs_bin: int  # of which in the bin [t0, t0 + tau]
+    pre_bin_s: float  # wall time of the segment before t0
+    bin_s: float  # wall time of the in-bin segment
     n_rejected: int  # rejected step attempts
     h_min: float  # smallest accepted step, steps cut short at a segment end excepted
     trace_drift_max: float
@@ -55,7 +64,10 @@ class Diagnostics:
 class _Counters:
     n_steps: int = 0
     n_rhs: int = 0
+    n_rhs_pre: int = 0
     n_rejected: int = 0
+    pre_bin_s: float = 0.0
+    bin_s: float = 0.0
     h_min: float = math.inf
     drift_max: float = 0.0
 
@@ -91,9 +103,9 @@ class _Dop853:
     """
 
     def __init__(self, fun, t: float, y: np.ndarray, t_bound: float,
-                 rtol: float, atol: float, max_step: float):
+                 rtol: float, atol: float):
         self.fun, self.t, self.y, self.t_bound = fun, t, y, t_bound
-        self.rtol, self.atol, self.max_step = rtol, atol, max_step
+        self.rtol, self.atol = rtol, atol
         self.n_rhs = 0
         self.n_rejected = 0
         self.K = np.empty((_dop.N_STAGES_EXTENDED, y.size), dtype=complex)
@@ -124,7 +136,7 @@ class _Dop853:
             h1 = max(1e-6, h0 * 1e-3)
         else:
             h1 = (0.01 / max(d1, d2)) ** (1 / (ERROR_ORDER + 1))
-        return min(100 * h0, h1, span, self.max_step)
+        return min(100 * h0, h1, span)
 
     def _stage(self, s: int, t: float, yf: np.ndarray, h: float) -> None:
         ys = yf + _stage_sum(h * _A[s, :s], self.Kf[:s])
@@ -151,7 +163,7 @@ class _Dop853:
         """Take one accepted step; raise StepSizeError when h underflows."""
         t, y = self.t, self.y
         min_step = 10 * abs(np.nextafter(t, np.inf) - t)
-        h_abs = min(self.max_step, max(self.h_abs, min_step))
+        h_abs = max(self.h_abs, min_step)
         rejected = False
         while True:
             if h_abs < min_step:
@@ -210,21 +222,20 @@ class _Dop853:
         return interp
 
 
-def _integrate_segment(gen: Generator, t_start: float, t_end: float, y0: np.ndarray,
-                       sample_times: np.ndarray, collect, max_step: float,
+def _integrate_segment(fun, num: Numerics, t_start: float, t_end: float, y0: np.ndarray,
+                       sample_times: np.ndarray, collect,
                        check_times: list[float], check_out: list, dim: int,
                        counters: _Counters) -> np.ndarray:
-    """Step from t_start to t_end, sampling ``sample_times`` via dense output.
+    """Step ``fun`` from t_start to t_end, sampling ``sample_times`` via dense output.
 
     ``collect(t, y)`` is called for every sample time in order; states at
     ``check_times``, each from a direct step (``_Dop853.state_at``), are
     appended to ``check_out`` for positivity sampling.
     Step, RHS and drift counts are added to ``counters``.  Returns y_end.
     """
-    num = gen.cfg.numerics
     if t_end <= t_start:
         return y0
-    solver = _Dop853(gen.apply_vec, t_start, y0, t_end, num.rtol, num.atol, max_step)
+    solver = _Dop853(fun, t_start, y0, t_end, num.rtol, num.atol)
     idx = 0
     n_samples = len(sample_times)
     n_steps = 0
@@ -265,6 +276,17 @@ def _integrate_segment(gen: Generator, t_start: float, t_end: float, y0: np.ndar
     return solver.y
 
 
+def _opened_at(gen: Generator, t0: float):
+    """The in-bin RHS, taking g's right limit at the opening t0 itself.
+
+    ``mode_gv`` excludes t0 from the bin, so g(t0) = 0.  Seen from there, the
+    first stage and the starting-step rule size the first step for a closed
+    bin, and the controller then rejects it about twenty times.
+    """
+    t_open = float(np.nextafter(t0, np.inf))
+    return lambda t, y: gen.apply_vec(max(t, t_open), y)
+
+
 def _run(cfg: SystemConfig, bin: BinSpec, cav_dim: int, displaced: bool):
     gen = get_generator(cfg, bin, cav_dim, displaced)
     dim = gen.dim
@@ -296,7 +318,6 @@ def _run(cfg: SystemConfig, bin: BinSpec, cav_dim: int, displaced: bool):
     check_states: list[np.ndarray] = []
 
     counters = _Counters()
-    max_step_bin = num.max_step_bin_frac * bin.tau
 
     if bin.t0 > 0:
         # While the bin is closed the cavity is exactly decoupled and stays in
@@ -310,10 +331,13 @@ def _run(cfg: SystemConfig, bin: BinSpec, cav_dim: int, displaced: bool):
         collect_pre(0.0, y_pre)
         seg_samples = grid[(grid > 0.0) & (grid <= bin.t0)]
         pre_checks = [t for t in check_times if t <= bin.t0]
+        t_wall = time.perf_counter()
         y_pre = _integrate_segment(
-            gen_pre, 0.0, bin.t0, y_pre, seg_samples, collect_pre, np.inf,
+            gen_pre.apply_vec, num, 0.0, bin.t0, y_pre, seg_samples, collect_pre,
             pre_checks, check_states, dim_pre, counters,
         )
+        counters.pre_bin_s = time.perf_counter() - t_wall
+        counters.n_rhs_pre = counters.n_rhs
         rho_e = y_pre.reshape(dim_pre, dim_pre)
         vac = np.zeros((cav_dim, cav_dim), dtype=complex)
         vac[0, 0] = 1.0
@@ -326,10 +350,12 @@ def _run(cfg: SystemConfig, bin: BinSpec, cav_dim: int, displaced: bool):
 
     seg_samples = grid[grid > bin.t0]
     bin_checks = [t for t in check_times if t > bin.t0]
+    t_wall = time.perf_counter()
     y = _integrate_segment(
-        gen, bin.t0, t_end, y, seg_samples, collect, max_step_bin,
+        _opened_at(gen, bin.t0), num, bin.t0, t_end, y, seg_samples, collect,
         bin_checks, check_states, dim, counters,
     )
+    counters.bin_s = time.perf_counter() - t_wall
 
     rho_end = y.reshape(dim, dim)
     herm_max = float(np.max(np.abs(rho_end - rho_end.conj().T)))
@@ -382,6 +408,10 @@ def _propagate_impl(cfg: SystemConfig, bin: BinSpec, displaced: bool,
         cutoff=cutoff,
         n_steps=counters.n_steps,
         n_rhs=counters.n_rhs,
+        n_rhs_pre=counters.n_rhs_pre,
+        n_rhs_bin=counters.n_rhs - counters.n_rhs_pre,
+        pre_bin_s=counters.pre_bin_s,
+        bin_s=counters.bin_s,
         n_rejected=counters.n_rejected,
         h_min=float(counters.h_min),
         trace_drift_max=counters.drift_max,

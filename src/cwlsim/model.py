@@ -64,14 +64,13 @@ class Numerics:
 
     rtol: float = 1e-8
     atol: float = 1e-10
-    max_step_bin_frac: float = 0.02  # max step inside the bin, as fraction of tau
     dim_limit: int = 4096
     output_points: int = 500
 
     def __post_init__(self):
         check_fields(self)
-        if min(self.rtol, self.atol, self.max_step_bin_frac) <= 0:
-            raise ConfigError("rtol, atol and max_step_bin_frac must be positive")
+        if min(self.rtol, self.atol) <= 0:
+            raise ConfigError("rtol and atol must be positive")
         if self.dim_limit < 1 or self.output_points < 2:
             raise ConfigError("need dim_limit >= 1 and output_points >= 2")
 

@@ -34,6 +34,11 @@ def test_simulate_writes_outputs_and_manifest(tmp_path):
     diag = man["diagnostics"]
     assert diag["n_rhs"] > 12 * diag["n_steps"] > 0
     assert diag["n_rejected"] >= 0 and diag["h_min"] > 0
+    # per segment: the emitter-only run to t0 = 0.2, then the bin
+    assert diag["n_rhs_pre"] > 0 and diag["n_rhs_bin"] > 0
+    assert diag["n_rhs_pre"] + diag["n_rhs_bin"] == diag["n_rhs"]
+    assert diag["pre_bin_s"] > 0 and diag["bin_s"] > 0
+    assert diag["pre_bin_s"] + diag["bin_s"] <= man["wall_time_s"]
     listed = {Path(p).name for p in man["outputs"]}
     assert {"trajectory.csv", "rho_v.json"} <= listed
     for p in man["outputs"]:
@@ -144,6 +149,9 @@ def test_config_error_exit_code(tmp_path):
     assert main(["simulate", "--config", str(missing), "--out", str(tmp_path / "o")]) == 1
 
 
+REMOVED_KEYS = {"emitter_levels", "mode", "max_step_bin_frac"}
+
+
 @pytest.mark.parametrize("section, key, value", [
     ("bin", "mode", "gaussian"),
     ("system", "M", "two"),
@@ -170,6 +178,7 @@ def test_config_error_exit_code(tmp_path):
     ("system", "numerics", {"output_points": 0}),
     ("system", "numerics", {"atol": -1}),
     ("system", "numerics", {"max_step_bin_frac": 0}),
+    ("system", "numerics", {"max_step_bin_frac": 0.02}),
     ("system", "emitter_levels", 2),
     ("bin", "mode", "flat"),
     ("sytem", None, {"M": 0}),
@@ -177,7 +186,8 @@ def test_config_error_exit_code(tmp_path):
         "output_points-str", "kappa-null", "alpha-str", "g_max-str", "bin-list",
         "system-str", "bounds-flat", "Gamma-typo", "tau-typo", "crb-str", "phi_points-low",
         "spacing-zero", "spacing-negative", "axis-scalar", "axis-M-frac", "kappa-nan",
-        "output_points-zero", "atol-negative", "max_step-zero", "levels-legacy",
+        "output_points-zero", "atol-negative", "max_step-zero", "max_step-legacy",
+        "levels-legacy",
         "mode-legacy", "section-typo"])
 def test_malformed_config_is_configuration_error(tmp_path, capsys, section, key, value):
     doc = {name: dict(sec) for name, sec in BASE.items()}
@@ -188,7 +198,11 @@ def test_malformed_config_is_configuration_error(tmp_path, capsys, section, key,
     cfg = write_config(tmp_path, doc)
     command = section if section in ("metrology", "sweep") else "wigner"
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
-    assert "configuration error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "configuration error:" in err
+    keys = {key} | (set(value) if isinstance(value, dict) else set())
+    for removed in keys & REMOVED_KEYS:
+        assert repr(removed) in err  # a removed knob is refused by name
 
 
 def test_omitted_keys_take_dataclass_defaults(tmp_path):

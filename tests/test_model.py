@@ -128,7 +128,7 @@ def test_system_fields_typed_and_finite(kwargs):
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"rtol": 0.0}, {"atol": -1.0}, {"max_step_bin_frac": 0.0}, {"dim_limit": 0},
+    {"rtol": 0.0}, {"atol": -1.0}, {"atol": math.inf}, {"dim_limit": 0},
     {"output_points": 1}, {"output_points": 0}, {"rtol": math.nan}, {"dim_limit": 64.0},
 ])
 def test_numerics_validates_itself(kwargs):
