@@ -8,7 +8,7 @@ from .bethe import BethePhase, transmission_phase
 from .hilbert import (DensityMatrix, annihilation, coherent_state,
                       displacement_operator, fidelity, fock_state,
                       partial_trace, pure_density, tensor, trace_distance)
-from .integrator import Trajectory, propagate, propagate_displaced
+from .integrator import Trajectory, propagate
 from .metrology import (MomentSet, MZResult, crb, extract_moments,
                         jz_sensitivity, squeezed_reference)
 from .model import (BinSpec, Numerics, SystemConfig, build_hamiltonian,
@@ -24,7 +24,7 @@ __all__ = [
     "DensityMatrix", "annihilation", "coherent_state", "displacement_operator",
     "fidelity", "fock_state", "partial_trace", "pure_density", "tensor",
     "trace_distance",
-    "Trajectory", "propagate", "propagate_displaced",
+    "Trajectory", "propagate",
     "MomentSet", "MZResult", "crb", "extract_moments", "jz_sensitivity",
     "squeezed_reference",
     "BinSpec", "Numerics", "SystemConfig", "build_hamiltonian",

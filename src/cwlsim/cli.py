@@ -158,7 +158,7 @@ def _traj_diag(traj) -> dict:
 
 
 def cmd_simulate(doc: dict, cfg: SystemConfig, bin: BinSpec, man: Manifest, out: Path):
-    traj = propagate(cfg, bin, verify_cutoff=True)
+    traj = propagate(cfg, bin)
     rows = []
     for i, t in enumerate(traj.times):
         rows.append([t] + [traj.populations[i, k] for k in range(cfg.M)]

@@ -14,6 +14,7 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh, expm
+from scipy.special import eval_genlaguerre, gammaln
 
 from .errors import ConfigError
 
@@ -84,8 +85,6 @@ def coherent_state(beta: complex, cutoff: int | None = None) -> np.ndarray:
 
 
 def _log_factorial(n: np.ndarray) -> np.ndarray:
-    from scipy.special import gammaln
-
     return gammaln(np.asarray(n, dtype=float) + 1.0)
 
 
@@ -100,6 +99,25 @@ def displacement_operator(beta: complex, cutoff: int) -> np.ndarray:
     a = annihilation(cutoff).toarray()
     gen = beta * a.conj().T - np.conj(beta) * a
     return expm(gen)
+
+
+def displacement_block(beta: complex, rows: int, cols: int) -> np.ndarray:
+    """The exact matrix elements <m|D(beta)|n>, m < rows, n < cols, of the untruncated D.
+
+    For m >= n, sqrt(n!/m!) beta^(m-n) e^{-|beta|^2/2} L_n^(m-n)(|beta|^2);
+    for m < n, (-1)^(n-m) times the conjugate of the (n, m) element.  Computed
+    elementwise, with no BLAS call.
+    """
+    if beta == 0:
+        return np.eye(rows, cols, dtype=complex)
+    x = abs(beta) ** 2
+    m, n = np.arange(rows)[:, None], np.arange(cols)[None, :]
+    lo, d = np.minimum(m, n), np.abs(m - n)
+    mag = np.exp(0.5 * (_log_factorial(lo) - _log_factorial(lo + d)) - x / 2
+                 + d * math.log(abs(beta)))
+    phase = np.where(m >= n, np.exp(1j * d * np.angle(beta)),
+                     (-1.0) ** d * np.exp(-1j * d * np.angle(beta)))
+    return mag * eval_genlaguerre(lo, d, x) * phase
 
 
 def fock_state(n: int, cutoff: int) -> np.ndarray:
@@ -144,7 +162,8 @@ class DensityMatrix:
         tr = mat.trace()
         if abs(tr - 1.0) > trace_tol:
             raise ConfigError(f"trace {tr!r} deviates from 1 beyond {trace_tol:.1e}")
-        lo = float(np.min(eigh((mat + mat.conj().T) / 2, eigvals_only=True)))
+        # numpy's eigvalsh: scipy's eigh stalls in forked workers on some small sizes
+        lo = float(np.min(np.linalg.eigvalsh((mat + mat.conj().T) / 2)))
         if lo < -positivity_tol:
             raise ConfigError(f"minimum eigenvalue {lo:.3e} below -{positivity_tol:.1e}")
         mat = mat.copy()

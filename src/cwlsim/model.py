@@ -158,6 +158,21 @@ def mode_gv(bin: BinSpec, t: float, kappa: float = 1.0) -> complex:
     return complex(g)
 
 
+def frame_amplitude(cfg: SystemConfig, bin: BinSpec, t: float) -> complex:
+    """Amplitude beta(t) of the displaced frame b = beta + b': the cavity's
+    coherent response to the drive, beta' = -g alpha - g^2 beta / 2 from
+    beta(t0) = 0 with the clamped g of `mode_gv`.  With s = t - t0 and
+    G = g_max it is (2 alpha/G)(1 - e^{-G^2 s/2}) for s <= 1/G^2, beyond that
+    alpha (sqrt(s) + (1 - 2 e^{-1/2})/(G^2 sqrt(s))), and constant after the bin."""
+    s = min(t, bin.t_end) - bin.t0
+    if s <= 0:
+        return 0.0 + 0.0j
+    al, G = cfg.alpha_phys, bin.g_max_phys(cfg.kappa)
+    if s * G * G <= 1.0:
+        return complex(2 * al / G * -math.expm1(-G * G * s / 2))
+    return complex(al * (math.sqrt(s) + (1 - 2 * math.exp(-0.5)) / (G * G * math.sqrt(s))))
+
+
 def default_cutoff(x: float, M: int) -> int:
     """Cavity cutoff covering x = tau |alpha|^2 coherent photons plus up to M added ones."""
     c = math.ceil(x + M + 6.0 * math.sqrt(x + M)) + 2
@@ -267,7 +282,7 @@ def _model_parts(cfg: SystemConfig, cav_dim: int, displaced: bool):
 def build_hamiltonian(cfg: SystemConfig, bin: BinSpec, t: float):
     """Full Hamiltonian H(t) = H0 + g(t) H1 as a sparse matrix."""
     cav_dim = resolve_cutoff(cfg, bin) + 1
-    _check_dim(cfg, cav_dim)
+    check_dim(cfg, cav_dim)
     H0, H1, _, _ = _model_parts(cfg, cav_dim, displaced=False)
     g = mode_gv(bin, t, cfg.kappa).real
     return (H0 + g * H1).tocsr()
@@ -280,14 +295,14 @@ def build_jump_operators(cfg: SystemConfig, bin: BinSpec, t: float):
     rate 1, then s_i- at Gamma and, for three-level emitters, d_i at gamma_D.
     """
     cav_dim = resolve_cutoff(cfg, bin) + 1
-    _check_dim(cfg, cav_dim)
+    check_dim(cfg, cav_dim)
     _, _, channels, _ = _model_parts(cfg, cav_dim, displaced=False)
     g = mode_gv(bin, t, cfg.kappa)
     return [(A if B is None else (A + np.conj(g) * B).tocsr(), rate)
             for rate, A, B in channels]
 
 
-def _check_dim(cfg: SystemConfig, cav_dim: int):
+def check_dim(cfg: SystemConfig, cav_dim: int):
     dim = cfg.levels**cfg.M * cav_dim
     if dim > cfg.numerics.dim_limit:
         raise ConfigError(
@@ -369,7 +384,7 @@ class Generator:
 
 @lru_cache(maxsize=16)
 def _generator(cfg: SystemConfig, bin: BinSpec, cav_dim: int, displaced: bool) -> Generator:
-    _check_dim(cfg, cav_dim)
+    check_dim(cfg, cav_dim)
     return Generator(cfg, bin, cav_dim, displaced)
 
 

@@ -16,9 +16,9 @@ import numpy as np
 from .ansatz import fit_displaced_mixture
 from .bethe import transmission_phase
 from .hilbert import (DensityMatrix, annihilation, coherent_state,
-                      displacement_operator, fidelity, fock_state, pad_fock,
+                      displacement_operator, fidelity, fock_state,
                       partial_trace, pure_density, trace_distance)
-from .integrator import propagate, propagate_displaced
+from .integrator import propagate
 from .metrology import coherent_moments, crb, jz_sensitivity
 from .model import BinSpec, SystemConfig, liouvillian_apply, resolve_cutoff
 from .shortbin import emitter_moments, shortbin_oracle, shortbin_rho
@@ -62,17 +62,6 @@ def _check_propagation():
     assert f > 0.9999, f
     assert tr.diagnostics.trace_drift_max < 1e-8
     assert tr.diagnostics.positivity_min > -1e-7
-
-
-def _check_displaced_frame():
-    cfg = SystemConfig(alpha=0.5, M=1)
-    b = BinSpec(t0=1.0, tau=1.5)
-    tr = propagate(cfg, b)
-    trd = propagate_displaced(cfg, b)
-    dim = tr.rho_v.dim
-    d = displacement_operator(trd.frame_displacement, dim - 1)
-    back = d @ pad_fock(trd.rho_v.mat, dim) @ d.conj().T
-    assert trace_distance(tr.rho_v.mat, back) < 1e-5
 
 
 def _check_kappa_scaling():
@@ -149,7 +138,6 @@ CHECKS = [
     ("hilbert-algebra", _check_hilbert),
     ("liouvillian-structure", _check_model),
     ("propagation-coherent-limit", _check_propagation),
-    ("displaced-frame-equivalence", _check_displaced_frame),
     ("kappa-scaling", _check_kappa_scaling),
     ("wigner-normalization-negativity", _check_wigner),
     ("shortbin-oracle-agreement", _check_shortbin),

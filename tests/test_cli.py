@@ -49,6 +49,22 @@ def test_simulate_writes_outputs_and_manifest(tmp_path):
     assert raw.decode().splitlines()[0] == "t,cavity_n"
 
 
+@pytest.mark.parametrize("index", range(4), ids=["drive0.5", "drive0.9", "drive1.5", "drive2.5"])
+def test_simulate_drive_series_presets(tmp_path, index):
+    # the paper's drive series, each with its calibrated bin; the two strongest
+    # drives used to fail their cutoff check with exit code 2
+    from cwlsim.presets import DRIVE_SERIES
+
+    alpha, b = DRIVE_SERIES[index]
+    doc = {"system": {"alpha": alpha, "M": 1}, "bin": {"t0": b.t0, "tau": b.tau}}
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(write_config(tmp_path, doc)),
+                 "--out", str(out)]) == 0
+    diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
+    assert diag["cutoff_check"] <= 1e-12
+    assert diag["bin_runs"] == 1
+
+
 def test_manifest_config_roundtrip(tmp_path):
     cfg = write_config(tmp_path, BASE)
     out1 = tmp_path / "o1"

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from cwlsim.errors import ConfigError
 from cwlsim.hilbert import (DensityMatrix, annihilation, coherent_state,
-                            displacement_operator, fidelity, fock_state,
+                            displacement_block, displacement_operator,
+                            fidelity, fock_state,
                             partial_trace, pure_density, tensor,
                             trace_distance)
 
@@ -92,6 +93,13 @@ def test_displacement_identity_and_inverse():
     low = 24 - math.ceil(4 * abs(beta))
     prod = (d @ dm)[: low + 1, : low + 1]
     assert np.max(np.abs(prod - np.eye(low + 1))) < 1e-8
+
+
+def test_displacement_block_matches_padded_exponential():
+    # the exact elements <m|D|n> against expm on a space padded far past them
+    for beta, rows, cols in ((0.8 - 0.6j, 12, 9), (2.6, 36, 10), (-1.8j, 20, 30), (0.0, 4, 6)):
+        ref = displacement_operator(beta, 120)[:rows, :cols]
+        assert np.max(np.abs(displacement_block(beta, rows, cols) - ref)) < 1e-12
 
 
 def test_displacement_shifts_annihilation():

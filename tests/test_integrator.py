@@ -4,14 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from cwlsim.hilbert import (coherent_state, displacement_operator, fidelity,
-                            pad_fock, partial_trace, pure_density,
-                            trace_distance)
-from cwlsim.integrator import propagate, propagate_displaced
-from cwlsim.model import BinSpec, SystemConfig, resolve_cutoff
-from cwlsim.presets import (DRIVE_SERIES, METRO_PAIR_BIN, METRO_PAIR_CFG,
-                            METRO_SINGLE_BIN, METRO_SINGLE_CFG, SINGLE_DRIVE,
-                            SINGLE_MID_BIN)
+from lab_oracle import lab_reference, undisplace
+
+from cwlsim.hilbert import (coherent_state, fidelity, partial_trace,
+                            pure_density, trace_distance)
+from cwlsim.integrator import propagate
+from cwlsim.model import BinSpec, SystemConfig, frame_amplitude, resolve_cutoff
+from cwlsim.presets import (DRIVE_SERIES, METRO_CRB_BIN, METRO_CRB_CFG,
+                            METRO_PAIR_BIN, METRO_PAIR_CFG, METRO_SINGLE_BIN,
+                            METRO_SINGLE_CFG, NOISE_BIN, NOISE_DRIVE,
+                            PARITY_BIN, PARITY_DRIVE, SINGLE_DRIVE,
+                            SINGLE_MID_BIN, SINGLE_STEADY_BIN)
 from cwlsim.shortbin import emitter_moments, shortbin_rho
 
 
@@ -55,30 +58,99 @@ def test_populations_on_uniform_grid():
 def test_displaced_frame_matches_direct():
     cfg = SystemConfig(alpha=0.5, M=1)
     b = BinSpec(t0=1.0, tau=1.5)
-    tr = propagate(cfg, b)
-    trd = propagate_displaced(cfg, b)
-    dim = tr.rho_v.dim
-    d = displacement_operator(trd.frame_displacement, dim - 1)
-    back = d @ pad_fock(trd.rho_v.mat, dim) @ d.conj().T
-    assert trace_distance(tr.rho_v.mat, back) < 1e-5
+    rho_v = lab_reference(cfg, b)[0]
+    assert trace_distance(propagate(cfg, b).rho_v.mat, rho_v) < 1e-5
 
 
 def test_displaced_frame_m0_stays_vacuum():
-    traj = propagate_displaced(SystemConfig(alpha=0.8, M=0), BinSpec(t0=0.0, tau=1.0))
-    vac = np.zeros_like(traj.rho_v.mat)
+    # without emitters the in-frame cavity never leaves vacuum: rho_v is the
+    # coherent state of the frame amplitude, here on an output space that holds it
+    cfg = SystemConfig(alpha=0.8, M=0, cavity_cutoff=24)
+    b = BinSpec(t0=0.0, tau=1.0)
+    traj = propagate(cfg, b)
+    back = undisplace(traj.rho_v.mat, frame_amplitude(cfg, b, b.t_end))
+    vac = np.zeros_like(back)
     vac[0, 0] = 1.0
-    assert np.max(np.abs(traj.rho_v.mat - vac)) < 1e-9
+    assert np.max(np.abs(back - vac)) < 1e-9
+    assert traj.diagnostics.cutoff_check == 0.0
 
 
 def test_displaced_frame_photon_support():
-    # mid-bin single-emitter case: the non-displaced state is nearly confined
-    # to the lowest three Fock levels
-    from cwlsim.presets import SINGLE_DRIVE, SINGLE_MID_BIN
-
+    # mid-bin single-emitter case: undisplaced by the frame amplitude, the
+    # captured state is nearly confined to the lowest three Fock levels
     cfg = SystemConfig(alpha=SINGLE_DRIVE, M=1)
-    traj = propagate_displaced(cfg, SINGLE_MID_BIN)
-    weight = float(np.real(np.diag(traj.rho_v.mat)[:3].sum()))
+    traj = propagate(cfg, SINGLE_MID_BIN)
+    back = undisplace(traj.rho_v.mat, frame_amplitude(cfg, SINGLE_MID_BIN, SINGLE_MID_BIN.t_end))
+    weight = float(np.real(np.diag(back)[:3].sum()))
     assert weight > 0.99
+
+
+@pytest.mark.parametrize("cfg, b", [
+    pytest.param(SystemConfig(alpha=0.7, M=0), BinSpec(t0=0.5, tau=0.8), id="tau0.8"),
+    pytest.param(SystemConfig(alpha=0.7, M=0), BinSpec(t0=0.5, tau=1e-3), id="tau1e-3"),
+    pytest.param(SystemConfig(alpha=0.7, M=0, kappa=2.0), BinSpec(t0=0.5, tau=0.8, g_max=50.0),
+                 id="kappa2-gmax50"),
+    # shorter than 1/g_max^2 = 4e-4: the bin ends inside the clamp
+    pytest.param(SystemConfig(alpha=0.7, M=0), BinSpec(t0=0.5, tau=2e-4, g_max=50.0),
+                 id="inside-clamp"),
+])
+def test_frame_amplitude_matches_lab(cfg, b):
+    # With no emitters the whole state is the frame's coherent state, so this
+    # checks the clamped-coupling amplitude itself.  alpha sqrt(tau) in its
+    # place misses by 1.7e-7 to 3.7e-3.
+    rho_v = lab_reference(cfg, b)[0]
+    assert trace_distance(propagate(cfg, b).rho_v.mat, rho_v) <= 1e-8
+
+
+_ORACLE_CASES = [pytest.param(SystemConfig(alpha=a, M=1), b, id=f"drive{a}")
+                 for a, b in DRIVE_SERIES] + [
+    pytest.param(SystemConfig(alpha=NOISE_DRIVE, M=1, gamma_D=0.5), NOISE_BIN, id="noise"),
+    pytest.param(SystemConfig(alpha=PARITY_DRIVE, M=1), PARITY_BIN, id="parity1"),
+    pytest.param(SystemConfig(alpha=PARITY_DRIVE, M=2), PARITY_BIN, id="parity2"),
+    pytest.param(METRO_SINGLE_CFG, METRO_SINGLE_BIN, id="metro_single"),
+    pytest.param(METRO_CRB_CFG, METRO_CRB_BIN, id="metro_crb"),
+    pytest.param(METRO_PAIR_CFG, METRO_PAIR_BIN, id="metro_pair"),
+    pytest.param(SystemConfig(alpha=SINGLE_DRIVE, M=1), SINGLE_MID_BIN, id="single_mid"),
+    pytest.param(SystemConfig(alpha=0.9, M=1), BinSpec(t0=1.5, tau=1e-3), id="shortbin"),
+    pytest.param(SystemConfig(alpha=0.7, M=0), BinSpec(t0=0.2, tau=1.0), id="m0"),
+]
+
+
+@pytest.mark.parametrize("cfg, b", _ORACLE_CASES)
+def test_matches_lab_oracle(cfg, b):
+    # the displaced frame at its own cutoff against the lab frame at the
+    # output cutoff + 8
+    traj = propagate(cfg, b)
+    rho_v = lab_reference(cfg, b)[0]
+    assert trace_distance(traj.rho_v.mat, rho_v) <= 1e-7
+    assert traj.diagnostics.cutoff_check <= 1e-12
+
+
+def test_cutoff_growth_counts_every_attempt(monkeypatch):
+    # deep in the steady state the emitter adds enough photons that the first
+    # cutoff, 2M + 7, leaves its top level populated: the bin reruns
+    from cwlsim.model import Generator
+
+    calls = []  # generator dimension per call
+    apply_vec = Generator.apply_vec
+
+    def counting(self, t, y):
+        calls.append(self.dim)
+        return apply_vec(self, t, y)
+
+    monkeypatch.setattr(Generator, "apply_vec", counting)
+    cfg = SystemConfig(alpha=SINGLE_DRIVE, M=1)
+    traj = propagate(cfg, SINGLE_STEADY_BIN)
+    diag = traj.diagnostics
+    assert 1 < diag.bin_runs <= 3
+    assert len(set(calls)) == 1 + diag.bin_runs  # the emitters alone, then each cutoff
+    assert diag.cutoff > 2 * cfg.M + 7
+    assert diag.n_rhs == len(calls)
+    assert diag.n_rhs_pre == calls.count(cfg.levels**cfg.M)
+    assert diag.cutoff_check <= 1e-12
+    monkeypatch.undo()
+    rho_v = lab_reference(cfg, SINGLE_STEADY_BIN)[0]
+    assert trace_distance(traj.rho_v.mat, rho_v) <= 1e-7
 
 
 def test_shortbin_limit_agreement():
@@ -112,10 +184,11 @@ def test_tolerance_halving_stability():
 
 
 def test_cutoff_verification_runs():
-    traj = propagate(SystemConfig(alpha=0.5, M=1), BinSpec(t0=0.5, tau=1.0),
-                     verify_cutoff=True)
-    assert traj.diagnostics.cutoff_check is not None
-    assert traj.diagnostics.cutoff_check < 1e-6
+    # verify_cutoff is accepted and ignored: every run checks its cutoff
+    cfg, b = SystemConfig(alpha=0.5, M=1), BinSpec(t0=0.5, tau=1.0)
+    traj = propagate(cfg, b, verify_cutoff=True)
+    assert traj.diagnostics.cutoff_check <= 1e-12
+    assert np.array_equal(traj.rho_v.mat, propagate(cfg, b).rho_v.mat)
 
 
 def test_moment_stability_under_cutoff_growth():
@@ -217,11 +290,13 @@ def test_stepper_matches_scipy_dop853(case):
     assert n_own == n_pre
     assert rel(own_pre, ref_pre) < pre_tol
 
-    cav_dim = resolve_cutoff(cfg, b) + 1
+    diag = propagate(cfg, b).diagnostics
+    assert diag.bin_runs == 1
+    cav_dim = diag.cutoff + 1
     vac = np.zeros((cav_dim, cav_dim), dtype=complex)
     vac[0, 0] = 1.0
     y_t0 = np.kron(ref_pre.reshape(gen_pre.dim, gen_pre.dim), vac).reshape(-1)
-    gen = get_generator(cfg, b, cav_dim)
+    gen = get_generator(cfg, b, cav_dim, displaced=True)
     t_open = np.nextafter(b.t0, np.inf)  # the bin opens at g's right limit
 
     def bin_rhs(t, y):
@@ -231,38 +306,7 @@ def test_stepper_matches_scipy_dop853(case):
     own_bin, n_own = _own_segment(bin_rhs, num, b.t0, b.t_end, y_t0)
     assert n_own == n_bin
     assert rel(own_bin, ref_bin) < 1e-12
-    assert propagate(cfg, b).diagnostics.n_steps == n_pre + n_bin
-
-
-def _tight_reference(cfg, b, times):
-    """Populations and cavity occupation at ``times`` in the bin, which end at
-    t0 + tau, and the cavity state there, from scipy's DOP853 at rtol 1e-12,
-    atol 1e-14 on the plain generator (g(t0) = 0: the step controller finds
-    the opening by itself)."""
-    from scipy.integrate import solve_ivp
-
-    from cwlsim.hilbert import DensityMatrix
-    from cwlsim.model import get_generator
-
-    tight = {"method": "DOP853", "rtol": 1e-12, "atol": 1e-14}
-    gen_pre = get_generator(cfg, b, 1)
-    y0 = np.zeros(gen_pre.dim**2, dtype=complex)
-    y0[0] = 1.0
-    rho_e = solve_ivp(gen_pre.apply_vec, (0.0, b.t0), y0, **tight).y[:, -1]
-    cav_dim = resolve_cutoff(cfg, b) + 1
-    vac = np.zeros((cav_dim, cav_dim), dtype=complex)
-    vac[0, 0] = 1.0
-    y_t0 = np.kron(rho_e.reshape(gen_pre.dim, gen_pre.dim), vac).reshape(-1)
-    gen = get_generator(cfg, b, cav_dim)
-    sol = solve_ivp(gen.apply_vec, (b.t0, b.t_end), y_t0, t_eval=times, **tight)
-    diags = np.real(sol.y.reshape(gen.dim, gen.dim, -1).diagonal(axis1=0, axis2=1))
-    pops = diags @ np.real([p.diagonal() for p in gen.ops["pops"]]).reshape(-1, gen.dim).T
-    b_op = gen.ops["b"]
-    cav = diags @ np.real((b_op.conj().T @ b_op).diagonal())
-    dims = tuple([cfg.levels] * cfg.M + [cav_dim])
-    rho_end = sol.y[:, -1].reshape(gen.dim, gen.dim)
-    rho_v = partial_trace(DensityMatrix((rho_end + rho_end.conj().T) / 2, dims), cfg.M)
-    return rho_v, pops, cav
+    assert diag.n_steps == n_pre + n_bin
 
 
 @pytest.mark.parametrize("cfg, b", [
@@ -274,11 +318,12 @@ def _tight_reference(cfg, b, times):
 ])
 def test_bin_matches_tight_reference(cfg, b):
     # Uncapped in-bin steps: the captured state and the in-bin output-grid
-    # samples, which come from the dense output, stay within 1e-8 of a tight run.
+    # samples, which come from the dense output, stay within 1e-8 of the oracle.
     traj = propagate(cfg, b)
     in_bin = traj.times > b.t0
-    rho_v, pops, cav = _tight_reference(cfg, b, traj.times[in_bin])
-    assert trace_distance(traj.rho_v.mat, rho_v.mat) <= 1e-8
+    rho_v, times, pops, cav = lab_reference(cfg, b)
+    assert np.array_equal(traj.times[in_bin], times)
+    assert trace_distance(traj.rho_v.mat, rho_v) <= 1e-8
     assert np.max(np.abs(traj.populations[in_bin] - pops)) <= 1e-8
     assert np.max(np.abs(traj.cavity_occupation[in_bin] - cav)) <= 1e-8
 
