@@ -30,9 +30,11 @@ from .model import (BinSpec, Generator, Numerics, SystemConfig, check_dim, frame
 
 TRACE_DRIFT_TOL = 1e-8
 POSITIVITY_SAMPLES = 10
-# accepted |population| of the displaced frame's top cavity level: at the
-# default atol 1e-10 the smallest the integration resolves
-TOP_LEVEL_TOL = 1e-12
+# accepted |population| of the displaced frame's top cavity level per unit atol:
+# 1e-12 at the default atol 1e-10, the smallest top population resolved there
+TOP_LEVEL_ATOL_FRAC = 1e-2
+# largest lab-frame weight rho_v may lose above its output space
+OUTPUT_LEAK_TOL = 1e-6
 
 # DOP853 tableau: _N stages per step, row _N is f at the step end, rows
 # _N+1.. are the extra stages of the dense output
@@ -51,6 +53,7 @@ class Diagnostics:
     cutoff: int  # cavity cutoff of the displaced frame, as grown
     bin_runs: int  # in-bin attempts, one per cutoff tried
     cutoff_check: float  # |population| of the top cavity level at ``cutoff``
+    output_leak: float  # lab-frame weight above the output space, dropped from rho_v
     n_steps: int  # accepted steps
     n_rhs: int  # Generator.apply_vec calls
     n_rhs_pre: int  # of which in the emitter-only segment before t0
@@ -314,17 +317,6 @@ def _collector(grid: np.ndarray, pops: np.ndarray, cav: np.ndarray, gen: Generat
     return collect
 
 
-def _grown_cutoff(p: np.ndarray) -> int:
-    """The next cutoff after the cavity populations ``p`` left too much in the
-    top level: as many levels more as their decay over the top two levels
-    needs to reach TOP_LEVEL_TOL, at least one and at most doubling."""
-    cut, top, below = len(p) - 1, abs(p[-1]), abs(p[-2])
-    extra = cut
-    if top < below:
-        extra = math.ceil(math.log(TOP_LEVEL_TOL / top) / math.log(top / below))
-    return cut + min(max(extra, 1), cut)
-
-
 def propagate(cfg: SystemConfig, bin: BinSpec, *, verify_cutoff: bool = False) -> Trajectory:
     """Propagate the master equation; the captured mode state is ``rho_v``.
 
@@ -333,12 +325,13 @@ def propagate(cfg: SystemConfig, bin: BinSpec, *, verify_cutoff: bool = False) -
     the segment before t0 runs on the emitters alone.  The bin runs in the
     displaced frame b = beta(t) + b' of `model.frame_amplitude`, where the
     cavity holds only the few photons the emitters add to the coherent
-    background.  Its cavity cutoff starts at 2M + 7 and grows, rerunning only
-    the bin, until the population of the top level is within TOP_LEVEL_TOL;
+    background.  Its cavity cutoff starts at 2M + 7 and doubles, rerunning
+    only the bin, until the top level holds at most TOP_LEVEL_ATOL_FRAC * atol;
     past ``dim_limit`` that raises CutoffConvergenceError.  ``rho_v`` is the
     lab-frame state D(beta) rho' D(beta)+ on the Fock levels up to
-    `resolve_cutoff`, renormalized to unit trace, and the output-grid cavity
-    occupation is the lab one.
+    `resolve_cutoff`, renormalized to unit trace; dropping more than
+    OUTPUT_LEAK_TOL above them raises CutoffConvergenceError too.  The
+    output-grid cavity occupation is the lab one.
 
     ``verify_cutoff`` is accepted and ignored: every run checks its cutoff as
     above.  It stays for callers written against the former cutoff+4 rerun.
@@ -369,6 +362,7 @@ def propagate(cfg: SystemConfig, bin: BinSpec, *, verify_cutoff: bool = False) -
     rho_e = y.reshape(levels, levels)
 
     frame = functools.partial(frame_amplitude, cfg, bin)
+    top_tol = TOP_LEVEL_ATOL_FRAC * num.atol
     cut_max = num.dim_limit // levels - 1
     cut = min(2 * cfg.M + 7, cut_max)
     bin_runs = 0
@@ -385,14 +379,14 @@ def propagate(cfg: SystemConfig, bin: BinSpec, *, verify_cutoff: bool = False) -
         )
         bin_runs += 1
         p = np.real(y[:: gen.dim + 1]).reshape(levels, cut + 1).sum(axis=0)
-        if abs(p[-1]) <= TOP_LEVEL_TOL:
+        if abs(p[-1]) <= top_tol:
             break
         if cut >= cut_max:
             raise CutoffConvergenceError(
-                f"top cavity level holds {p[-1]:.2e} (tolerance {TOP_LEVEL_TOL:.0e}) "
+                f"top cavity level holds {p[-1]:.2e} (tolerance {top_tol:.0e}) "
                 f"at cutoff {cut}, the largest dim_limit {num.dim_limit} allows"
             )
-        cut = min(_grown_cutoff(p), cut_max)
+        cut = min(2 * cut, cut_max)
     counters.bin_s = time.perf_counter() - t_wall
 
     rho_end = y.reshape(gen.dim, gen.dim)
@@ -403,7 +397,13 @@ def propagate(cfg: SystemConfig, bin: BinSpec, *, verify_cutoff: bool = False) -
     D = displacement_block(frame(bin.t_end), out_dim, cut + 1)
     lab = np.einsum("mj,jk,nk->mn", D, rho_d, D.conj())
     lab = (lab + lab.conj().T) / 2
-    lab /= np.real(np.trace(lab))  # drop the weight above the output space
+    kept = float(np.real(np.trace(lab)))
+    leak = 1.0 - kept
+    if leak > OUTPUT_LEAK_TOL:
+        raise CutoffConvergenceError(f"{leak:.2e} of rho_v lies above the output cutoff "
+                                     f"{out_dim - 1} (tolerance {OUTPUT_LEAK_TOL:.0e}); "
+                                     "raise cavity_cutoff")
+    lab /= kept
 
     # numpy's eigvalsh, as in DensityMatrix: in forked sweep workers at two
     # BLAS threads, scipy's eigh stalled for ~50 ms a call on these states
@@ -417,7 +417,7 @@ def propagate(cfg: SystemConfig, bin: BinSpec, *, verify_cutoff: bool = False) -
     vac[0, 0] = 1.0
     rho_t0 = np.kron(rho_e, vac)
     diag = Diagnostics(cutoff=cut, bin_runs=bin_runs, cutoff_check=float(abs(p[-1])),
-                       n_rhs_bin=counters.n_rhs - counters.n_rhs_pre, positivity_min=pos_min,
+                       output_leak=leak, n_rhs_bin=counters.n_rhs - counters.n_rhs_pre, positivity_min=pos_min,
                        hermiticity_max=herm_max, **dataclasses.asdict(counters))
     return Trajectory(
         times=grid,

@@ -63,6 +63,20 @@ def test_simulate_drive_series_presets(tmp_path, index):
     diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
     assert diag["cutoff_check"] <= 1e-12
     assert diag["bin_runs"] == 1
+    assert abs(diag["output_leak"]) <= 1e-6
+
+
+def test_simulate_too_small_output_space_fails(tmp_path, capsys):
+    # Fock levels 0..3 cannot hold the drive-2.5 state: rho_v would drop most
+    # of its weight, so the run exits 2 instead of renormalizing silently
+    from cwlsim.presets import DRIVE_SERIES
+
+    alpha, b = DRIVE_SERIES[3]
+    doc = {"system": {"alpha": alpha, "M": 1, "cavity_cutoff": 3},
+           "bin": {"t0": b.t0, "tau": b.tau}}
+    assert main(["simulate", "--config", str(write_config(tmp_path, doc)),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "cavity_cutoff" in capsys.readouterr().err
 
 
 def test_manifest_config_roundtrip(tmp_path):

@@ -9,7 +9,7 @@ from lab_oracle import lab_reference, undisplace
 from cwlsim.hilbert import (coherent_state, fidelity, partial_trace,
                             pure_density, trace_distance)
 from cwlsim.integrator import propagate
-from cwlsim.model import BinSpec, SystemConfig, frame_amplitude, resolve_cutoff
+from cwlsim.model import BinSpec, Numerics, SystemConfig, frame_amplitude, resolve_cutoff
 from cwlsim.presets import (DRIVE_SERIES, METRO_CRB_BIN, METRO_CRB_CFG,
                             METRO_PAIR_BIN, METRO_PAIR_CFG, METRO_SINGLE_BIN,
                             METRO_SINGLE_CFG, NOISE_BIN, NOISE_DRIVE,
@@ -124,6 +124,16 @@ def test_matches_lab_oracle(cfg, b):
     rho_v = lab_reference(cfg, b)[0]
     assert trace_distance(traj.rho_v.mat, rho_v) <= 1e-7
     assert traj.diagnostics.cutoff_check <= 1e-12
+    assert abs(traj.diagnostics.output_leak) <= 1e-6
+
+
+def test_top_level_tolerance_follows_atol():
+    # the top-level bound scales with atol: a looser atol must not make the
+    # cutoff grow past what its own integration noise can resolve
+    cfg = dataclasses.replace(METRO_SINGLE_CFG, numerics=Numerics(atol=1e-8))
+    diag = propagate(cfg, METRO_SINGLE_BIN).diagnostics
+    assert diag.bin_runs == 1
+    assert diag.cutoff_check <= 1e-10
 
 
 def test_cutoff_growth_counts_every_attempt(monkeypatch):
@@ -173,7 +183,6 @@ def test_determinism_bitwise():
 
 
 def test_tolerance_halving_stability():
-    from cwlsim.model import Numerics
     from cwlsim.presets import SINGLE_DRIVE, SINGLE_MID_BIN
 
     cfg = SystemConfig(alpha=SINGLE_DRIVE, M=1)
