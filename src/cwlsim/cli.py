@@ -190,10 +190,11 @@ def cmd_wigner(doc: dict, cfg: SystemConfig, bin: BinSpec, man: Manifest, out: P
             rows.append([x, p, w.values[ip, ix]])
     write_csv(out / "wigner.csv", ["x", "p", "W"], rows)
     man.add_output(out / "wigner.csv")
-    write_json({"negativity": w.negativity, "norm": w.norm, "spacing": w.spacing},
-               out / "wigner.json")
+    write_json({"negativity": w.negativity, "norm": w.norm, "spacing": w.spacing,
+                "levels": w.levels}, out / "wigner.json")
     man.add_output(out / "wigner.json")
-    man.diag(negativity=w.negativity, wigner_norm=w.norm, **_traj_diag(traj))
+    man.diag(negativity=w.negativity, wigner_norm=w.norm, wigner_levels=w.levels,
+             **_traj_diag(traj))
 
 
 def cmd_shortbin_check(doc: dict, cfg: SystemConfig, bin: BinSpec, man: Manifest, out: Path):

@@ -15,8 +15,8 @@ the list of dissipative channels, each a jump operator A + g B at a fixed
 rate.  Both are linear in the real cavity coupling g(t) of the flat capture
 mode, which is the Liouvillian's only time dependence.  `build_hamiltonian`,
 `build_jump_operators` and `Generator` all derive from that one source; the
-generator expands it once per (config, bin) into the superoperator polynomial
-L0 + g L1 + g^2 L2 and is cached.
+generator expands it into the superoperator polynomial L0 + g L1 + g^2 L2,
+cached per (config, cavity dimension, frame): only g(t) reads the bin.
 """
 
 from __future__ import annotations
@@ -345,31 +345,38 @@ def _commutator_super(H):
     return (-1j * (_left(H) - _right(H))).tocsr()
 
 
+@lru_cache(maxsize=16)
+def _superoperators(cfg: SystemConfig, cav_dim: int, displaced: bool):
+    """(L0, L1, L2, ops) of `Generator`; cached without the bin, which enters only via g(t)."""
+    check_dim(cfg, cav_dim)
+    H0, H1, channels, ops = _model_parts(cfg, cav_dim, displaced)
+    # terms are summed as they are built, so only one is held at a time
+    live = [(rate, A, B) for rate, A, B in channels if rate != 0]
+    coupled = [(rate, A, B) for rate, A, B in live if B is not None]
+    L0 = reduce(operator.add, (r * _dissipator_super(A) for r, A, _ in live),
+                _commutator_super(H0)).tocsr()
+    L1 = reduce(operator.add, (r * _cross_super(A, B) for r, A, B in coupled),
+                _commutator_super(H1)).tocsr()
+    L2 = reduce(operator.add, (r * _dissipator_super(B) for r, _, B in coupled)).tocsr()
+    return L0, L1, L2, ops
+
+
 class Generator:
-    """Cached Liouvillian L(t) = L0 + g(t) L1 + g(t)^2 L2 acting on vec(rho).
+    """Liouvillian L(t) = L0 + g(t) L1 + g(t)^2 L2 of one bin, acting on vec(rho).
 
     Expanding sum_r r D[A + g B] over the channels of `_model_parts`:
       L0 = -i[H0, .] + sum r D[A],
       L1 = -i[H1, .] + sum r (A . B+ + B . A+ - {A+ B + B+ A, .}/2),
       L2 = sum r D[B].
-    Channels at rate zero are skipped.
+    Channels at rate zero are skipped.  The superoperators are shared by
+    every bin of the same config, cavity dimension and frame.
     """
 
     def __init__(self, cfg: SystemConfig, bin: BinSpec, cav_dim: int, displaced: bool):
         self.cfg = cfg
         self.bin = bin
-        H0, H1, channels, ops = _model_parts(cfg, cav_dim, displaced)
-        self.dim = ops["dim"]
-        self.ops = ops
-
-        # terms are summed as they are built, so only one is held at a time
-        live = [(rate, A, B) for rate, A, B in channels if rate != 0]
-        coupled = [(rate, A, B) for rate, A, B in live if B is not None]
-        self.L0 = reduce(operator.add, (r * _dissipator_super(A) for r, A, _ in live),
-                         _commutator_super(H0)).tocsr()
-        self.L1 = reduce(operator.add, (r * _cross_super(A, B) for r, A, B in coupled),
-                         _commutator_super(H1)).tocsr()
-        self.L2 = reduce(operator.add, (r * _dissipator_super(B) for r, _, B in coupled)).tocsr()
+        self.L0, self.L1, self.L2, self.ops = _superoperators(cfg, cav_dim, displaced)
+        self.dim = self.ops["dim"]
 
     def g(self, t: float) -> float:
         return mode_gv(self.bin, t, self.cfg.kappa).real
@@ -382,17 +389,11 @@ class Generator:
         return out
 
 
-@lru_cache(maxsize=16)
-def _generator(cfg: SystemConfig, bin: BinSpec, cav_dim: int, displaced: bool) -> Generator:
-    check_dim(cfg, cav_dim)
-    return Generator(cfg, bin, cav_dim, displaced)
-
-
 def get_generator(cfg: SystemConfig, bin: BinSpec, cav_dim: int | None = None,
                   displaced: bool = False) -> Generator:
     if cav_dim is None:
         cav_dim = resolve_cutoff(cfg, bin) + 1
-    return _generator(cfg, bin, cav_dim, displaced)
+    return Generator(cfg, bin, cav_dim, displaced)
 
 
 def liouvillian_apply(cfg: SystemConfig, bin: BinSpec, t: float, rho: np.ndarray) -> np.ndarray:

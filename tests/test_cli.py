@@ -103,6 +103,10 @@ def test_wigner_subcommand(tmp_path):
     assert main(["wigner", "--config", str(cfg), "--out", str(out)]) == 0
     wdoc = json.loads((out / "wigner.json").read_text())
     assert wdoc["negativity"] > 0.01
+    # the grid and one refinement: the quadrature agrees to 1 percent at once
+    assert wdoc["levels"] == 2
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["diagnostics"]["wigner_levels"] == 2
     header = (out / "wigner.csv").read_text().splitlines()[0]
     assert header == "x,p,W"
 

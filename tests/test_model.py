@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from cwlsim.errors import ConfigError
 from cwlsim.hilbert import trace_distance
 from cwlsim.integrator import propagate
-from cwlsim.model import (BinSpec, SystemConfig, build_hamiltonian,
-                          build_jump_operators, liouvillian_apply, mode_gv,
-                          resolve_cutoff)
+from cwlsim.model import (BinSpec, SystemConfig, _superoperators, build_hamiltonian,
+                          build_jump_operators, get_generator, liouvillian_apply,
+                          mode_gv, resolve_cutoff)
+from cwlsim.presets import METRO_SINGLE_BIN, METRO_SINGLE_CFG, PARITY_BIN, PARITY_DRIVE
 
 
 def test_mode_gv_end_of_unit_bin():
@@ -248,3 +249,27 @@ def test_clamp_convergence():
     r1 = propagate(cfg, BinSpec(t0=0.5, tau=1.0)).rho_v
     r2 = propagate(cfg, BinSpec(t0=0.5, tau=1.0, g_max=2e3)).rho_v
     assert trace_distance(r1.mat, r2.mat) < 1e-5
+
+
+def test_generator_superoperators_shared_across_bins():
+    cfg = SystemConfig(alpha=0.5, M=1)
+    a, b = BinSpec(t0=1.0, tau=2.0), BinSpec(t0=3.0, tau=0.5)
+    ga, gb = get_generator(cfg, a, 9, displaced=True), get_generator(cfg, b, 9, displaced=True)
+    assert ga.L0 is gb.L0 and ga.L1 is gb.L1 and ga.L2 is gb.L2 and ga.ops is gb.ops
+    assert ga.g(2.0) == mode_gv(a, 2.0).real and gb.g(2.0) == 0.0  # each bin keeps its g(t)
+    assert get_generator(cfg, a, 9).L1 is not ga.L1  # the lab frame is a separate entry
+
+
+@pytest.mark.parametrize("cfg, bin", [(METRO_SINGLE_CFG, METRO_SINGLE_BIN),
+                                      (SystemConfig(alpha=PARITY_DRIVE, M=2), PARITY_BIN)],
+                         ids=["metro_single", "parity2"])
+def test_shared_superoperators_leave_rho_v_bit_identical(cfg, bin):
+    # rho_v from superoperators assembled for another bin is the cold-cache one, bit for bit
+    _superoperators.cache_clear()
+    propagate(cfg, BinSpec(t0=bin.t0 / 2, tau=bin.tau / 2))
+    hits = _superoperators.cache_info().hits
+    warm = propagate(cfg, bin).rho_v.mat
+    assert _superoperators.cache_info().hits > hits
+    _superoperators.cache_clear()
+    cold = propagate(cfg, bin).rho_v.mat
+    assert warm.tobytes() == cold.tobytes()

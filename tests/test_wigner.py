@@ -1,12 +1,22 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+from wigner_oracle import exact_values, laguerre_values
+
+from cwlsim import wigner
 from cwlsim.errors import ConfigError, GridTooCoarseError
 from cwlsim.hilbert import (DensityMatrix, coherent_state,
                             displacement_operator, fock_state, pure_density)
-from cwlsim.wigner import _wigner_values, default_bounds, wigner_grid
+from cwlsim.integrator import propagate
+from cwlsim.model import SystemConfig
+from cwlsim.presets import (DRIVE_SERIES, NOISE_BIN, NOISE_DRIVE, PARITY_BIN,
+                            PARITY_DRIVE)
+from cwlsim.wigner import (DEFAULT_SPACING, REFINE_ABS_FLOOR, _hermite_functions,
+                           _rotations, _wigner_values, default_bounds, wigner_grid)
 
 FOCK1_NEGATIVITY = 2 * math.exp(-0.5) - 1  # radial quadrature of the analytic W
 
@@ -167,3 +177,106 @@ def test_raw_array_input_validated():
         wigner_grid(np.eye(4))  # trace 4
     with pytest.raises(ConfigError):
         default_bounds(np.ones((3, 2)))
+
+
+def _random_hermitian_state(rng, support):
+    x = rng.normal(size=(support, support)) + 1j * rng.normal(size=(support, support))
+    r = x @ x.conj().T
+    return r / np.trace(r)
+
+
+@pytest.mark.parametrize("support", [1, 2, 7, 16, 30])
+def test_kernel_matches_both_oracles(support):
+    # random Hermitian states against the Laguerre recurrence and against
+    # the exact displaced parity, at points out to |beta| = 6
+    rng = np.random.default_rng(100 + support)
+    rho = _random_hermitian_state(rng, support)
+    beta = rng.uniform(0, 6, 24) * np.exp(2j * math.pi * rng.uniform(size=24))
+    beta = np.append(beta, [6.0, -6j, 0.0])
+    for b in beta:
+        xs, ps = np.array([b.real]), np.array([b.imag])
+        got = _wigner_values(rho, xs, ps)[0, 0]
+        assert abs(got - laguerre_values(rho, xs, ps)[0, 0]) <= 1e-12
+        assert abs(got - exact_values(rho, xs, ps)[0, 0]) <= 1e-12
+
+
+def test_rotation_tables_orthogonal():
+    for N, T in enumerate(_rotations(201)):
+        assert T.shape == (N + 1, N + 1)
+        assert np.max(np.abs(np.einsum("ik,jk->ij", T, T) - np.eye(N + 1))) <= 1e-12
+
+
+@pytest.mark.parametrize("N", [1, 2, 5, 24, 60])
+def test_rotation_table_is_the_45_degree_rotation(N):
+    # T^(N) = expm((pi/4) G_N), G antisymmetric tridiagonal with
+    # G[j-1, j] = sqrt((N - j + 1) j), and for small N the exact binomial
+    # expansion of (a+ - b+)^m (a+ + b+)^n / sqrt(m! n! 2^N)
+    T = list(_rotations(N + 1))[N]
+    j = np.arange(1, N + 1)
+    off = np.sqrt((N - j + 1.0) * j)
+    assert np.max(np.abs(T - expm((math.pi / 4) * (np.diag(off, 1) - np.diag(off, -1))))) <= 1e-12
+    if N <= 24:
+        fact = math.factorial
+        exact = np.array([[
+            sum(math.comb(N - n, i) * (-1) ** i * math.comb(n, k - i) for i in range(k + 1))
+            * math.sqrt(fact(N - k) * fact(k) / (fact(N - n) * fact(n) * 2**N))
+            for n in range(N + 1)] for k in range(N + 1)])
+        assert np.max(np.abs(T - exact)) <= 1e-14
+
+
+def test_hermite_functions_finite_far_out():
+    z = np.array([-40.0, -38.5, -20.0, 0.0, 20.0, 38.5, 40.0])
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        h = _hermite_functions(200, z)
+    assert np.all(np.isfinite(h))
+    assert np.max(np.abs(h)) <= math.pi**-0.25  # Cramer's bound
+
+
+def test_wide_user_grid_matches_exact_oracle():
+    rng = np.random.default_rng(12)
+    rho = np.zeros((24, 24), dtype=complex)
+    rho[:20, :20] = _random_hermitian_state(rng, 20)
+    w = wigner_grid(DensityMatrix(rho), bounds=((-10, 10), (-10, 10)), spacing=0.1)
+    assert abs(wigner._mean_amplitude(rho)) <= wigner.RECENTER_THRESHOLD  # no shift
+    sub = slice(0, None, 8)  # 26 x 26 points, corners included
+    ref = exact_values(rho, w.xs[sub], w.ps[sub])
+    got = w.values[sub, sub]
+    assert np.max(np.abs(got - ref)) <= 1e-12
+    shown = np.abs(ref) > 1e-300  # representable: here every value, down to ~1e-138
+    assert shown.all()
+    assert np.max(np.abs(got - ref)[shown] / np.abs(ref[shown])) <= 1e-10
+
+
+CAPTURE_PRESETS = {f"drive{a}": (SystemConfig(alpha=a, M=1), b) for a, b in DRIVE_SERIES}
+CAPTURE_PRESETS.update({f"parity{m}": (SystemConfig(alpha=PARITY_DRIVE, M=m), PARITY_BIN)
+                        for m in (1, 2, 3)})
+CAPTURE_PRESETS["noise"] = (SystemConfig(alpha=NOISE_DRIVE, M=1, gamma_D=0.5), NOISE_BIN)
+
+
+@functools.cache
+def _captured(name):
+    return propagate(*CAPTURE_PRESETS[name]).rho_v
+
+
+@pytest.mark.parametrize("name", list(CAPTURE_PRESETS))
+def test_capture_presets_match_laguerre_oracle(name, monkeypatch):
+    # every grid the refinement evaluates, and the half-spacing grid, against
+    # the Laguerre oracle; negativities below the refinement's floor
+    # are quadratures of rounding and are compared at that floor's scale
+    rho = _captured(name)
+    fast = wigner_grid(rho)
+    errors = []
+
+    def oracle(mat, xs, ps):
+        ref = laguerre_values(mat, xs, ps)
+        errors.append(float(np.max(np.abs(_wigner_values(mat, xs, ps) - ref))))
+        return ref
+
+    monkeypatch.setattr(wigner, "_wigner_values", oracle)
+    slow = wigner_grid(rho)
+    if slow.levels == 1:
+        wigner._evaluate(rho.mat, default_bounds(rho), DEFAULT_SPACING / 2)
+    assert len(errors) >= 2 and max(errors) <= 1e-12
+    assert fast.levels == slow.levels
+    assert abs(fast.negativity - slow.negativity) <= 1e-10 * max(slow.negativity, REFINE_ABS_FLOOR)
+    assert abs(fast.norm - slow.norm) <= 1e-10 * abs(slow.norm)
