@@ -4,7 +4,7 @@ their Wigner-function nonclassicality, and interferometric metrology."""
 __version__ = "0.1.0"
 
 from .ansatz import AnsatzFit, fit_displaced_mixture
-from .bethe import BethePhase, transmission_phase
+from .bethe import transmission_phase
 from .hilbert import (DensityMatrix, annihilation, coherent_state,
                       displacement_operator, fidelity, fock_state,
                       partial_trace, pure_density, tensor, trace_distance)
@@ -20,7 +20,7 @@ from .wigner import WignerResult, wigner_grid
 __all__ = [
     "__version__",
     "AnsatzFit", "fit_displaced_mixture",
-    "BethePhase", "transmission_phase",
+    "transmission_phase",
     "DensityMatrix", "annihilation", "coherent_state", "displacement_operator",
     "fidelity", "fock_state", "partial_trace", "pure_density", "tensor",
     "trace_distance",

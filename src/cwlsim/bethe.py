@@ -8,17 +8,7 @@ return steady-state light to its coherent input form while odd chains do not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ConfigError
-
-
-@dataclass(frozen=True)
-class BethePhase:
-    E: float
-    n: int
-    kappa: float
-    value: complex
 
 
 def transmission_phase(E: float, n: int, kappa: float) -> complex:
@@ -29,7 +19,3 @@ def transmission_phase(E: float, n: int, kappa: float) -> complex:
         raise ConfigError("kappa must be positive")
     z = 0.5 * kappa * n * n
     return (E - 1j * z) / (E + 1j * z)
-
-
-def phase(E: float, n: int, kappa: float) -> BethePhase:
-    return BethePhase(E=E, n=n, kappa=kappa, value=transmission_phase(E, n, kappa))

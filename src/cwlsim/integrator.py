@@ -8,12 +8,15 @@ at t0 itself the generator is evaluated just after t0, where g = -g_max, so
 the first stage and the starting-step rule see the open bin instead of the
 closed-bin g(t0) = 0.  Emitter populations are sampled on a uniform output
 grid from the solver's dense output; the full state is never stored along
-the way.  Neither the stepper nor the frame change makes a BLAS call, so the
-result is bit-identical at any BLAS thread count.
+the way.  Positivity is checked on accepted step ends: for each of
+POSITIVITY_SAMPLES evenly spaced times, the first step end at or after it,
+one state per step.  Neither the stepper nor the frame change makes a BLAS
+call, so the result is bit-identical at any BLAS thread count.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import time
@@ -63,7 +66,7 @@ class Diagnostics:
     n_rejected: int  # rejected step attempts
     h_min: float  # smallest accepted step, steps cut short at a segment end excepted
     trace_drift_max: float
-    positivity_min: float  # of the states sampled before the bin and in the last attempt
+    positivity_min: float  # smallest eigenvalue of the step-end samples, pre-bin and last attempt
     hermiticity_max: float
 
 
@@ -191,19 +194,6 @@ class _Dop853:
         self.t_old, self.y_old, self.f_old, self.h = t, y, self.f, h
         self.t, self.y, self.f = t_new, y_new, f_new
 
-    def state_at(self, t: float) -> np.ndarray:
-        """The state at ``t`` in the last accepted step, by one RK step from its start.
-
-        Unlike the dense output this carries the step's own error bound: on
-        steps whose length is set by stability rather than accuracy, as in a
-        settled emitter chain, the interpolant can be off by 1e-7 mid-step
-        while a direct step stays within 1e-10.  Overwrites the stages, so
-        ``dense_output`` must come first when both are needed for this step.
-        """
-        if t >= self.t:
-            return self.y
-        return self._rk_step(self.t_old, self.y_old, self.f_old, t - self.t_old)
-
     def dense_output(self):
         """Order-7 interpolant over the last accepted step, as ``interp(t)``."""
         t_old, h, Kf = self.t_old, self.h, self.Kf
@@ -233,9 +223,9 @@ def _integrate_segment(fun, num: Numerics, t_start: float, t_end: float, y0: np.
                        counters: _Counters) -> np.ndarray:
     """Step ``fun`` from t_start to t_end, sampling ``sample_times`` via dense output.
 
-    ``collect(t, y)`` is called for every sample time in order; states at
-    ``check_times``, each from a direct step (``_Dop853.state_at``), are
-    appended to ``check_out`` for positivity sampling.
+    ``collect(t, y)`` is called for every sample time in order.  For
+    positivity sampling, the first accepted step end at or after each of the
+    ``check_times`` is appended to ``check_out``, once per step.
     Step, RHS and drift counts are added to ``counters``.  Returns y_end.
     """
     if t_end <= t_start:
@@ -244,8 +234,7 @@ def _integrate_segment(fun, num: Numerics, t_start: float, t_end: float, y0: np.
     idx = 0
     n_samples = len(sample_times)
     n_steps = 0
-    check_iter = iter(check_times)
-    next_check = next(check_iter, None)
+    n_checked = 0
     dim = math.isqrt(y0.size)
     diag_idx = np.arange(dim) * (dim + 1)  # diagonal of vec(rho)
     while solver.t < t_end:
@@ -267,15 +256,13 @@ def _integrate_segment(fun, num: Numerics, t_start: float, t_end: float, y0: np.
             ts = min(max(sample_times[idx], solver.t_old), solver.t)
             collect(sample_times[idx], interp(ts))
             idx += 1
-        while next_check is not None and next_check <= solver.t + 1e-15:
-            check_out.append(solver.state_at(next_check))
-            next_check = next(check_iter, None)
+        n_due = bisect.bisect_right(check_times, solver.t + 1e-15)
+        if n_due > n_checked:
+            check_out.append(solver.y)
+            n_checked = n_due
     while idx < n_samples:  # samples landing exactly on t_end
         collect(sample_times[idx], solver.y)
         idx += 1
-    while next_check is not None:
-        check_out.append(solver.y)
-        next_check = next(check_iter, None)
     counters.n_steps += n_steps
     counters.n_rhs += solver.n_rhs
     counters.n_rejected += solver.n_rejected

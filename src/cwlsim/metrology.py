@@ -28,6 +28,34 @@ and <beta|J_y^2|beta> = G2 = -(beta^2 a+^2 - (N_b+1) a+ a - N_b a a+
 
 evaluated on rho_a padded by two Fock levels.  The dense two-mode
 construction in tests/metrology_oracles.py serves as its oracle.
+
+The J_z optimum is closed form.  With u = (cos phi, sin phi) the estimator
+has variance u.A.u and slope d<J_z>/d phi = b.u, where
+
+    A = [[V_z, -C/2], [-C/2, V_x]],    b = (X, Z),
+
+Z = <J_z>, X = <J_x>, V_z and V_x their input variances and
+C = <{J_z, J_x}> - 2 Z X.  A is a covariance matrix, hence positive
+semidefinite, and by Cauchy-Schwarz
+
+    min_phi delta_phi = 1/sqrt(b.A+.b),  reached at u ~ A+ b,
+
+with A+ the pseudo-inverse.  For regular A this is
+delta_phi^2 = det A / (V_x X^2 + C X Z + V_z Z^2) at
+phi_opt = atan2(C X/2 + V_z Z, V_x X + C Z/2) mod pi.  When A has rank one
+(a Fock state with N_b = 0, say), the direction of zero variance has zero
+slope too, because the state is then an eigenstate of the rotated
+estimator: A+ keeps only the eigenvector of the larger eigenvalue, and
+phi_opt lies along it.  Eigenvalues below JZ_RCOND times the largest count as zero.  delta_phi
+is then the ratio sqrt(Var)/|slope| evaluated at phi_opt, the formula the
+returned curves use.  Only scalar arithmetic is involved, no BLAS call.
+
+The squeezed-vacuum reference needs no search over the squeezing angle
+theta.  Squeezed vacuum has no odd moments, so X = 0 and C = 0, and
+delta_phi^2 = V_x / Z^2 at phi = pi/2.  Z and V_z do not depend on theta;
+V_x holds theta only through (N_b/2) Re<a+^2> = -(N_b/2) cos(theta)
+sinh r cosh r, which theta = 0 minimizes at every N_b.  Numerical phi and
+theta searches in tests/metrology_oracles.py serve as oracles for both.
 """
 
 from __future__ import annotations
@@ -46,6 +74,11 @@ DERIV_FLOOR_REL = 1e-9
 MIN_PHI_POINTS = 400
 DEFAULT_N_B = 100.0  # second-port photon number when a config names none
 QFI_EIG_FLOOR = 1e-12
+JZ_RCOND = 1e-12  # relative eigenvalue floor of the J_z covariance pseudo-inverse
+# truncation probe of extract_moments: the moments may move by at most
+# MOMENT_TAIL_TOL when the top MOMENT_TAIL_LEVELS Fock levels are dropped
+MOMENT_TAIL_LEVELS = 2
+MOMENT_TAIL_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -90,13 +123,13 @@ class MZResult:
     N_b: float
 
 
-def extract_moments(rho_v, tail_levels: int = 2, tail_tol: float = 1e-3) -> MomentSet:
+def extract_moments(rho_v) -> MomentSet:
     """Moments <a+^p a^q>, p + q <= 4, by exact truncated-basis contraction.
 
     The moments of a fixed matrix are cutoff independent, so truncation
     sensitivity is probed from below: recomputing with the top
-    ``tail_levels`` Fock levels removed must change every moment by less
-    than ``tail_tol``, otherwise the source state was produced with too
+    MOMENT_TAIL_LEVELS Fock levels removed must change every moment by less
+    than MOMENT_TAIL_TOL, otherwise the source state was produced with too
     small a cutoff.  (Propagating with a grown cutoff and comparing moments
     is the sharper check; the integrator suite exercises it.)
     """
@@ -119,15 +152,16 @@ def extract_moments(rho_v, tail_levels: int = 2, tail_tol: float = 1e-3) -> Mome
     # the proxy needs headroom: on fewer than 8 retained levels the fourth
     # moments are truncation-dominated by construction and the comparison
     # carries no information
-    if dim - tail_levels >= 8:
-        trunc = mat[: dim - tail_levels, : dim - tail_levels].copy()
+    keep = dim - MOMENT_TAIL_LEVELS
+    if keep >= 8:
+        trunc = mat[:keep, :keep].copy()
         tr = np.trace(trunc).real
         small = table_for(trunc / tr)
         delta = np.max(np.abs(full - small))
-        if delta > tail_tol:
+        if delta > MOMENT_TAIL_TOL:
             raise CutoffConvergenceError(
-                f"moments change by {delta:.2e} when the top {tail_levels} Fock "
-                f"levels are dropped (tolerance {tail_tol:.1e}); cutoff too small"
+                f"moments change by {delta:.2e} when the top {MOMENT_TAIL_LEVELS} Fock "
+                f"levels are dropped (tolerance {MOMENT_TAIL_TOL:.1e}); cutoff too small"
             )
     full[0, 0] = 1.0
     # symmetrize against floating-point residue
@@ -168,16 +202,17 @@ def squeezed_vacuum_moments(N_a: float, theta: float = 0.0) -> MomentSet:
     return MomentSet(t)
 
 
-def _jz_curves(mom: MomentSet, N_b: float, phi: np.ndarray, b_phase: float = 0.0):
-    """Mean, variance, and analytic phi-derivative of the J_z estimator.
+def _jz_stats(mom: MomentSet, N_b: float, b_phase: float = 0.0):
+    """Input-frame Schwinger statistics (Z, X, var_z, var_x, cov).
 
-    Port b carries the coherent amplitude sqrt(N_b) e^{i b_phase}; its moments
-    factorize, so everything reduces to the port-a moment table.
+    Z = <J_z>, X = <J_x>, var_z and var_x their variances and
+    cov = <{J_z, J_x}> - 2 <J_z><J_x>.  Port b carries the coherent amplitude
+    sqrt(N_b) e^{i b_phase}; its moments factorize, so everything reduces to
+    the port-a moment table.
     """
     beta = math.sqrt(N_b) * np.exp(1j * b_phase)
     mu = mom.mu
     na = mu(1, 1).real
-    # input-frame first and second Schwinger moments
     Z = 0.5 * (na - N_b)
     X = (mu(1, 0) * beta).real
     jz2 = 0.25 * ((mu(2, 2) + mu(1, 1)).real - 2 * na * N_b + N_b**2 + N_b)
@@ -190,10 +225,12 @@ def _jz_curves(mom: MomentSet, N_b: float, phi: np.ndarray, b_phase: float = 0.0
         ((2 * mu(2, 1) + mu(1, 0)) * beta).real
         - (mu(1, 0) * beta).real * (2 * N_b + 1.0)
     )
-    var_z = jz2 - Z * Z
-    var_x = jx2 - X * X
-    cov = anti - 2 * Z * X  # <{Jz,Jx}> - 2 <Jz><Jx>
+    return Z, X, jz2 - Z * Z, jx2 - X * X, anti - 2 * Z * X
 
+
+def _jz_curves(stats, phi):
+    """Mean, variance, and analytic phi-derivative of the J_z estimator at ``phi``."""
+    Z, X, var_z, var_x, cov = stats
     c, s = np.cos(phi), np.sin(phi)
     mean = -c * Z + s * X
     var = c * c * var_z + s * s * var_x - s * c * cov
@@ -201,32 +238,15 @@ def _jz_curves(mom: MomentSet, N_b: float, phi: np.ndarray, b_phase: float = 0.0
     return mean, var, deriv
 
 
-def _golden_min(fun, a: float, b: float, tol: float = 1e-10) -> float:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = fun(x1), fun(x2)
-    while (b - a) > tol:
-        if f1 < f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = fun(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = fun(x2)
-    return 0.5 * (a + b)
-
-
 def jz_sensitivity(mom: MomentSet, N_b: float, phi_grid=None,
                    baseline_na: float | None = None,
                    b_phase: float = 0.0) -> MZResult:
     """Best phase sensitivity of the intensity-difference estimator.
 
-    delta_phi = min over phi of sqrt(Var J_z) / |d<J_z>/d phi|, evaluated
-    exactly from the input moments; the grid minimum is polished by
-    golden-section search.  ``baseline_na`` sets the photon number used in
-    the shot-noise reference 1/sqrt(N_a + N_b) (default: the port-a mean);
+    delta_phi = min over phi of sqrt(Var J_z) / |d<J_z>/d phi|, in the closed
+    form of the module docstring; mean and variance are also returned on
+    ``phi_grid``.  ``baseline_na`` sets the photon number used in the
+    shot-noise reference 1/sqrt(N_a + N_b) (default: the port-a mean);
     ``b_phase`` rotates the port-b amplitude (rotating the port-a state and
     co-rotating ``b_phase`` leaves delta_phi unchanged).
     """
@@ -238,30 +258,22 @@ def jz_sensitivity(mom: MomentSet, N_b: float, phi_grid=None,
     if len(phi_grid) < MIN_PHI_POINTS:
         raise ConfigError(f"phi grid needs at least {MIN_PHI_POINTS} points")
 
-    mean, var, deriv = _jz_curves(mom, N_b, phi_grid, b_phase)
+    stats = _jz_stats(mom, N_b, b_phase)
+    Z, X, var_z, var_x, cov = stats
     na = mom.N_a
-    floor = DERIV_FLOOR_REL * (na + N_b)
-    ok = np.abs(deriv) > floor
-    if not np.any(ok):
-        raise ConfigError("signal slope vanishes on the whole phi grid")
-    ratio = np.full_like(phi_grid, np.inf)
-    ratio[ok] = np.sqrt(np.maximum(var[ok], 0.0)) / np.abs(deriv[ok])
-    i0 = int(np.argmin(ratio))
+    # the largest slope over phi is |b| = hypot(X, Z)
+    if math.hypot(X, Z) <= DERIV_FLOOR_REL * (na + N_b):
+        raise ConfigError("signal slope vanishes at every phi")
+    lam_max = 0.5 * (var_z + var_x) + math.hypot(0.5 * (var_z - var_x), 0.5 * cov)
+    if var_z * var_x - 0.25 * cov * cov > JZ_RCOND * lam_max * lam_max:
+        phi_opt = math.atan2(0.5 * cov * X + var_z * Z, var_x * X + 0.5 * cov * Z)
+    else:  # rank one: A+ b lies along the eigenvector of lam_max
+        phi_opt = 0.5 * math.atan2(-cov, var_z - var_x)
+    phi_opt %= math.pi
+    _, var_opt, deriv_opt = _jz_curves(stats, phi_opt)
+    dphi = math.sqrt(max(var_opt, 0.0)) / abs(deriv_opt)
 
-    def objective(phi: float) -> float:
-        m, v, d = _jz_curves(mom, N_b, np.asarray([phi]), b_phase)
-        if abs(d[0]) <= floor:
-            return np.inf
-        return math.sqrt(max(v[0], 0.0)) / abs(d[0])
-
-    lo = phi_grid[max(i0 - 1, 0)]
-    hi = phi_grid[min(i0 + 1, len(phi_grid) - 1)]
-    phi_opt = _golden_min(objective, lo, hi)
-    dphi = objective(phi_opt)
-    if not np.isfinite(dphi):
-        phi_opt = phi_grid[i0]
-        dphi = float(ratio[i0])
-
+    mean, var, _ = _jz_curves(stats, phi_grid)
     base_na = na if baseline_na is None else float(baseline_na)
     dphi_sn = 1.0 / math.sqrt(base_na + N_b) if base_na + N_b > 0 else math.inf
     return MZResult(
@@ -281,24 +293,9 @@ def jz_sensitivity(mom: MomentSet, N_b: float, phi_grid=None,
 def squeezed_reference(N_a_match: float, N_b: float, phi_grid=None) -> MZResult:
     """J_z sensitivity with a squeezed vacuum of matched photon number in port a.
 
-    The squeezing angle is optimized over the four axes and then polished by
-    golden-section search.
+    The squeezing angle theta = 0 is optimal at every N_b (module docstring).
     """
-    best = None
-    for theta0 in (0.0, math.pi / 2, math.pi, 3 * math.pi / 2):
-        res = jz_sensitivity(squeezed_vacuum_moments(N_a_match, theta0), N_b, phi_grid)
-        if best is None or res.delta_phi < best[1].delta_phi:
-            best = (theta0, res)
-    theta0 = best[0]
-
-    def objective(theta: float) -> float:
-        return jz_sensitivity(
-            squeezed_vacuum_moments(N_a_match, theta), N_b, phi_grid
-        ).delta_phi
-
-    theta = _golden_min(objective, theta0 - math.pi / 2, theta0 + math.pi / 2, tol=1e-8)
-    res = jz_sensitivity(squeezed_vacuum_moments(N_a_match, theta), N_b, phi_grid)
-    return res if res.delta_phi <= best[1].delta_phi else best[1]
+    return jz_sensitivity(squeezed_vacuum_moments(N_a_match, 0.0), N_b, phi_grid)
 
 
 # ---------------------------------------------------------------------------

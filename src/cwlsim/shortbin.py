@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, SeriesConvergenceError
 from .hilbert import DensityMatrix, displacement_operator, pad_fock
-from .model import default_cutoff
+from .model import chain_operators, default_cutoff
 
 log = logging.getLogger(__name__)
 
@@ -43,19 +43,6 @@ class EmitterMoments:
         self.M = M
 
 
-def _collective_lowering(M: int, levels: int) -> np.ndarray:
-    lower = np.zeros((levels, levels), dtype=complex)
-    lower[0, 1] = 1.0
-    dim = levels**M
-    S = np.zeros((dim, dim), dtype=complex)
-    for i in range(M):
-        op = np.array([[1.0]], dtype=complex)
-        for j in range(M):
-            op = np.kron(op, lower if j == i else np.eye(levels, dtype=complex))
-        S += op
-    return S
-
-
 def emitter_moments(rho_emitters: DensityMatrix, M: int) -> EmitterMoments:
     """Moments of the collective lowering operator on the emitter state."""
     dim = rho_emitters.dim
@@ -65,7 +52,7 @@ def emitter_moments(rho_emitters: DensityMatrix, M: int) -> EmitterMoments:
         return EmitterMoments(np.ones((1, 1), dtype=complex), 0)
     if levels**M != dim or levels not in (2, 3):
         raise ConfigError(f"emitter state dim {dim} incompatible with M={M}")
-    S = _collective_lowering(M, levels)
+    S = chain_operators(M, levels, 1)["S"].toarray()
     Sd = S.conj().T
     # powers up to M; (S-)^(M+1) vanishes identically
     s_pows = [np.eye(dim, dtype=complex)]
@@ -153,7 +140,7 @@ def shortbin_oracle(rho_emitters: DensityMatrix, alpha: complex, tau: float,
         levels = int(round(dim_e ** (1.0 / M)))
         if levels**M != dim_e:
             raise ConfigError(f"emitter state dim {dim_e} incompatible with M={M}")
-        S = _collective_lowering(M, levels)
+        S = chain_operators(M, levels, 1)["S"].toarray()
     A = np.conj(alpha_phys) * np.eye(S.shape[0]) + math.sqrt(kappa) * S.conj().T
     B = alpha_phys * np.eye(S.shape[0]) + math.sqrt(kappa) * S
 

@@ -1,11 +1,17 @@
-"""Dense two-mode interferometer oracles for the metrology tests.
+"""Oracles for the metrology tests.
 
-Independent of the production routes in ``cwlsim.metrology``: the full
-two-mode state is built in a truncated product basis and pushed through
-explicit beam-splitter unitaries, and the quantum bound comes from an
-``eigh`` of the whole state after the first splitter.  The cost grows with
-the product dimension (seconds at N_b = 16), so these serve as references
-for the moment-based J_z statistics and the closed-form ``crb``.
+Dense two-mode interferometer: independent of the production routes in
+``cwlsim.metrology``, the full two-mode state is built in a truncated product
+basis and pushed through explicit beam-splitter unitaries, and the quantum
+bound comes from an ``eigh`` of the whole state after the first splitter.
+The cost grows with the product dimension (seconds at N_b = 16), so these
+serve as references for the moment-based J_z statistics and the closed-form
+``crb``.
+
+Numerical searches: the J_z optimum by a phi scan with golden-section polish
+(``jz_search``) and the squeezed reference by a four-start golden-section
+search over the squeezing angle (``squeezed_search``), references for the
+closed forms of ``jz_sensitivity`` and ``squeezed_reference``.
 """
 
 from __future__ import annotations
@@ -18,7 +24,9 @@ from scipy.linalg import eigh, expm
 
 from cwlsim.errors import ConfigError
 from cwlsim.hilbert import DensityMatrix, coherent_state, default_coherent_cutoff, pad_fock
-from cwlsim.metrology import QFI_EIG_FLOOR
+from cwlsim.metrology import (DERIV_FLOOR_REL, MIN_PHI_POINTS, QFI_EIG_FLOOR, MomentSet,
+                              _jz_curves, _jz_stats, jz_sensitivity,
+                              squeezed_vacuum_moments)
 
 
 @lru_cache(maxsize=8)
@@ -140,3 +148,69 @@ def crb_phi_independence(rho_v, N_b: float, cutoff_b: int | None = None,
     """Max relative spread of the bound over a coarse phi grid (should be ~0)."""
     vals = [crb_dense(rho_v, N_b, phi, cutoff_b) for phi in phis]
     return (max(vals) - min(vals)) / min(vals)
+
+
+def golden_min(fun, a: float, b: float, tol: float = 1e-10) -> float:
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = b - invphi * (b - a)
+    x2 = a + invphi * (b - a)
+    f1, f2 = fun(x1), fun(x2)
+    while (b - a) > tol:
+        if f1 < f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - invphi * (b - a)
+            f1 = fun(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + invphi * (b - a)
+            f2 = fun(x2)
+    return 0.5 * (a + b)
+
+
+def jz_search(mom: MomentSet, N_b: float, b_phase: float = 0.0) -> tuple[float, float]:
+    """Oracle: (delta_phi, phi_opt) of the J_z estimator by numerical search.
+
+    The ratio sqrt(Var)/|slope| is scanned on MIN_PHI_POINTS points of
+    [0, pi], both ends included so that an optimum at phi = 0 is found, and
+    the grid minimum is polished by golden-section search between its
+    neighbours.
+    """
+    stats = _jz_stats(mom, N_b, b_phase)
+    grid = np.linspace(0.0, math.pi, MIN_PHI_POINTS)
+    _, var, deriv = _jz_curves(stats, grid)
+    floor = DERIV_FLOOR_REL * (mom.N_a + N_b)
+    ok = np.abs(deriv) > floor
+    if not np.any(ok):
+        raise ConfigError("signal slope vanishes on the whole phi grid")
+    ratio = np.full_like(grid, np.inf)
+    ratio[ok] = np.sqrt(np.maximum(var[ok], 0.0)) / np.abs(deriv[ok])
+    i0 = int(np.argmin(ratio))
+
+    def objective(phi: float) -> float:
+        _, v, d = _jz_curves(stats, np.asarray([phi]))
+        if abs(d[0]) <= floor:
+            return np.inf
+        return math.sqrt(max(v[0], 0.0)) / abs(d[0])
+
+    lo = grid[max(i0 - 1, 0)]
+    hi = grid[min(i0 + 1, len(grid) - 1)]
+    phi_opt = golden_min(objective, lo, hi)
+    dphi = objective(phi_opt)
+    if not np.isfinite(dphi):
+        return float(ratio[i0]), float(grid[i0])
+    return dphi, phi_opt
+
+
+def squeezed_search(N_a: float, N_b: float) -> float:
+    """Oracle: delta_phi of the best squeezed vacuum with sinh^2 r = N_a.
+
+    The best of the four axes theta = 0, pi/2, pi, 3 pi/2 is polished by
+    golden-section search over theta within pi/2 on either side; each angle
+    is scored by ``jz_sensitivity``, whose phi optimum ``jz_search`` checks.
+    """
+    def objective(theta: float) -> float:
+        return jz_sensitivity(squeezed_vacuum_moments(N_a, theta), N_b).delta_phi
+
+    best_theta = min((0.0, math.pi / 2, math.pi, 3 * math.pi / 2), key=objective)
+    theta = golden_min(objective, best_theta - math.pi / 2, best_theta + math.pi / 2, tol=1e-8)
+    return min(objective(theta), objective(best_theta))

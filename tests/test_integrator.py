@@ -346,33 +346,43 @@ def test_bin_opening_costs_few_steps():
     assert diag.n_rejected <= 12
 
 
-def test_positivity_samples_are_direct_steps():
-    # A settled four-emitter chain: the pre-bin steps are limited by stability,
-    # where the dense output misses by up to 1.4e-7 mid-step; the direct steps
-    # that give the positivity samples stay within 10 atol of a tight run.
-    from scipy.integrate import solve_ivp
+def test_positivity_samples_are_step_ends(monkeypatch):
+    # Positivity is checked on accepted step ends, one per step: for each check
+    # time the first step end at or after it.  Neither an interpolant (off by
+    # up to 1.4e-7 mid-step on the stability-limited steps of a settled chain)
+    # nor an extra RK step from the start of the step.
+    from cwlsim import integrator
 
-    from cwlsim.integrator import _Dop853
-    from cwlsim.model import get_generator
-    from cwlsim.presets import PARITY_BIN, PARITY_DRIVE
+    ends, segments = [], []
+    step, segment = integrator._Dop853.step, integrator._integrate_segment
 
-    cfg = SystemConfig(alpha=PARITY_DRIVE, M=4)
-    num = cfg.numerics
-    gen = get_generator(cfg, PARITY_BIN, 1)
-    y0 = np.zeros(gen.dim**2, dtype=complex)
-    y0[0] = 1.0
-    checks = np.linspace(0.0, PARITY_BIN.t_end, 11)[1:10]
-    tight = solve_ivp(gen.apply_vec, (0.0, PARITY_BIN.t0), y0, method="DOP853",
-                      rtol=1e-13, atol=1e-15, t_eval=checks).y.T
-    stepper = _Dop853(gen.apply_vec, 0.0, y0, PARITY_BIN.t0, num.rtol, num.atol)
-    errors = []
-    while stepper.t < PARITY_BIN.t0:
-        stepper.step()
-        for t, ref in zip(checks, tight):
-            if stepper.t_old < t <= stepper.t:
-                errors.append(np.max(np.abs(stepper.state_at(t) - ref)))
-    assert len(errors) == len(checks)
-    assert max(errors) < 10 * num.atol
+    def recording_step(self):
+        step(self)
+        ends.append((self.t, self.y.copy()))
+
+    def recording_segment(*args):
+        first = len(ends)
+        y = segment(*args)
+        check_times, check_out = args[7], args[8]
+        segments.append((ends[first:], check_times, check_out))
+        return y
+
+    monkeypatch.setattr(integrator._Dop853, "step", recording_step)
+    monkeypatch.setattr(integrator, "_integrate_segment", recording_segment)
+    propagate(METRO_SINGLE_CFG, METRO_SINGLE_BIN)
+    n_checks = 0
+    for seg_ends, check_times, check_out in segments:
+        firsts = []
+        for tc in check_times:
+            i = next(i for i, (t, _) in enumerate(seg_ends) if tc <= t + 1e-15)
+            if i not in firsts:
+                firsts.append(i)
+        assert len(check_out) == len(firsts)
+        for sample, i in zip(check_out, firsts):
+            assert np.array_equal(sample, seg_ends[i][1])
+        n_checks += len(check_times)
+    assert len(segments) == 2
+    assert n_checks == integrator.POSITIVITY_SAMPLES
 
 
 BLAS_PROBE = """

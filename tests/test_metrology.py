@@ -6,11 +6,12 @@ import pytest
 from cwlsim.errors import ConfigError
 from cwlsim.hilbert import (DensityMatrix, coherent_state, fock_state,
                             pure_density)
-from cwlsim.metrology import (_jz_curves, coherent_moments, crb, extract_moments,
-                              jz_sensitivity, squeezed_reference,
+from cwlsim.metrology import (_jz_curves, _jz_stats, coherent_moments, crb,
+                              extract_moments, jz_sensitivity, squeezed_reference,
                               squeezed_vacuum_moments)
 from metrology_oracles import (beam_splitter_unitary, crb_dense,
-                               crb_phi_independence, jz_statistics_dense)
+                               crb_phi_independence, jz_search, jz_statistics_dense,
+                               squeezed_search)
 
 
 def low_photon_state(rng, support=4, dim=25):
@@ -83,7 +84,7 @@ def test_jz_statistics_match_dense_interferometer():
     rho = low_photon_state(rng, support=4, dim=25)
     mom = extract_moments(rho)
     for phi in (0.3, 1.1, 2.2):
-        mean, var, _ = _jz_curves(mom, 4.0, np.asarray([phi]))
+        mean, var, _ = _jz_curves(_jz_stats(mom, 4.0), np.asarray([phi]))
         mean_d, var_d = jz_statistics_dense(rho, 4.0, 24, phi)
         assert abs(mean[0] - mean_d) < 1e-8
         assert abs(var[0] - var_d) < 1e-8
@@ -95,10 +96,57 @@ def test_jz_statistics_dense_oracle_converged():
     rho = low_photon_state(rng, support=4, dim=41)
     mom = extract_moments(rho)
     for phi in (0.5, 1.7):
-        mean, var, _ = _jz_curves(mom, 9.0, np.asarray([phi]))
+        mean, var, _ = _jz_curves(_jz_stats(mom, 9.0), np.asarray([phi]))
         mean_d, var_d = jz_statistics_dense(rho, 9.0, 40, phi)
         assert abs(mean[0] - mean_d) < 1e-10
         assert abs(var[0] - var_d) < 1e-10
+
+
+def phi_distance(a, b):
+    """Distance between two estimator phases, which are defined mod pi."""
+    d = (a - b) % math.pi
+    return min(d, math.pi - d)
+
+
+def test_closed_form_matches_search_oracle():
+    rng = np.random.default_rng(21)
+    for _ in range(4):
+        mom = extract_moments(low_photon_state(rng))
+        for n_b in (0.5, 1.0, 4.0, 25.0, 100.0):
+            for b_phase in (0.0, 0.9):
+                res = jz_sensitivity(mom, n_b, b_phase=b_phase)
+                dphi, phi_opt = jz_search(mom, n_b, b_phase)
+                assert res.delta_phi == pytest.approx(dphi, rel=1e-12)
+                assert phi_distance(res.phi_opt, phi_opt) < 1e-6
+
+
+def test_balanced_coherent_optimum_at_phi_zero():
+    # Z = 0 and A = (N/2) I: the optimum sits at phi = 0, on the edge of the
+    # default grid, with delta_phi = 1/sqrt(2N) at every co-rotated drive phase
+    for n in (1.0, 4.0, 25.0):
+        for phase in (0.0, 0.9, 2.0):
+            res = jz_sensitivity(coherent_moments(n, phase), n, b_phase=phase)
+            assert phi_distance(res.phi_opt, 0.0) < 1e-14
+            assert res.delta_phi == pytest.approx(1 / math.sqrt(2 * n), rel=1e-14)
+
+
+def test_fock_vacuum_port_rank_one_covariance():
+    # V_z = 0: every phi off 0 reaches 1/sqrt(n); the pseudo-inverse picks pi/2
+    for n in (1, 2, 3):
+        res = jz_sensitivity(extract_moments(pure_density(fock_state(n, 8))), 0.0)
+        assert res.delta_phi == pytest.approx(1 / math.sqrt(n), rel=1e-14)
+        assert res.phi_opt == pytest.approx(math.pi / 2, abs=1e-14)
+
+
+def test_squeezed_reference_is_best_angle():
+    for n_a, n_b in ((0.93, 100.0), (0.1, 4.0), (2.0, 25.0), (0.3, 1.0)):
+        ref = squeezed_reference(n_a, n_b)
+        assert ref.delta_phi == squeezed_search(n_a, n_b)
+        assert ref.delta_phi == pytest.approx(
+            jz_search(squeezed_vacuum_moments(n_a, 0.0), n_b)[0], rel=1e-12)
+        for theta in np.linspace(0.0, 2 * math.pi, 64, endpoint=False):
+            res = jz_sensitivity(squeezed_vacuum_moments(n_a, theta), n_b)
+            assert res.delta_phi >= ref.delta_phi
 
 
 def test_phase_convention_invariance():

@@ -5,9 +5,9 @@ import pytest
 
 from cwlsim.errors import ConfigError
 from cwlsim.hilbert import DensityMatrix, coherent_state, displacement_operator
-from cwlsim.model import BinSpec, SystemConfig, resolve_cutoff
-from cwlsim.shortbin import (EmitterMoments, _collective_lowering,
-                             emitter_moments, shortbin_oracle, shortbin_rho)
+from cwlsim.model import BinSpec, SystemConfig, chain_operators, resolve_cutoff
+from cwlsim.shortbin import (EmitterMoments, emitter_moments, shortbin_oracle,
+                             shortbin_rho)
 
 
 def random_emitter_state(rng, M, levels=2):
@@ -57,7 +57,7 @@ def test_moment_table_hermitian_symmetry():
 
 def test_collective_lowering_nilpotent():
     for M, levels in ((1, 2), (2, 2), (3, 2), (2, 3)):
-        s = _collective_lowering(M, levels)
+        s = chain_operators(M, levels, 1)["S"].toarray()
         power = np.linalg.matrix_power(s, M + 1)
         assert np.max(np.abs(power)) == 0.0
 
