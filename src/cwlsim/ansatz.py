@@ -21,7 +21,6 @@ from .hilbert import DensityMatrix, displacement_operator, fidelity, state_overl
 
 SPAN_LEVELS = 3  # |0>, |1>, |2>
 N_COMPONENTS = 3
-DEGENERACY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -59,12 +58,6 @@ def fit_displaced_mixture(rho_v, alpha: complex, tau: float, kappa: float = 1.0,
 
     vals, vecs = eigh(tilde)
     order = np.argsort(vals)[::-1]
-    if len(vals) > N_COMPONENTS:
-        gap = vals[order[N_COMPONENTS - 1]] - vals[order[N_COMPONENTS]]
-        if abs(gap) < DEGENERACY_TOL:
-            # deterministic tie-break: eigh output order is already fixed for
-            # identical input, keep it and fix phases below
-            pass
     top = order[:N_COMPONENTS]
     weights = np.clip(vals[top], 0.0, None)
 

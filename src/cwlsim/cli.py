@@ -4,9 +4,12 @@ Configuration is a single JSON document with sections
 {system, bin, grid, metrology, sweep}; rates are relative to kappa (drive in
 units of sqrt(kappa)) and times absolute.  Each section is read into its
 dataclass (`SECTIONS`) by the field annotations: unknown keys are rejected
-and omitted keys keep the dataclass default.  Every numerical subcommand writes
-its outputs plus a run manifest (config snapshot, version, wall time,
-convergence diagnostics, file list) into the output directory.
+and omitted keys keep the dataclass default; `main` builds every section but
+`sweep` before any work, so a malformed one fails every subcommand.  Each
+subcommand but `sweep` propagates once and hands the trajectory to its
+``cmd_*`` function.  Every numerical subcommand writes its outputs plus a run
+manifest (config snapshot, version, wall time, convergence diagnostics, file
+list) into the output directory.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical failure.
 """
@@ -36,7 +39,7 @@ from .model import BinSpec, SystemConfig, check_fields
 from .serialize import write_csv, write_density_matrix, write_json
 from .shortbin import emitter_moments, shortbin_oracle, shortbin_rho
 from .sweep import AXES, SweepPlan, apply_params, run_sweep
-from .wigner import DEFAULT_SPACING, wigner_grid
+from .wigner import DEFAULT_SPACING, MAX_SPACING, wigner_grid
 
 
 class _Parser(argparse.ArgumentParser):
@@ -49,10 +52,30 @@ class _Parser(argparse.ArgumentParser):
 @dataclass(frozen=True)
 class GridSpec:  # the wigner subcommand's phase-space grid
     spacing: float = DEFAULT_SPACING
-    bounds: list | None = None  # [[xmin, xmax], [pmin, pmax]]; default around the mean
+    bounds: tuple | None = None  # ((xmin, xmax), (pmin, pmax)); default around the mean
 
     def __post_init__(self):
         check_fields(self)
+        if not 0 < self.spacing <= MAX_SPACING:
+            raise ConfigError(f"'spacing' must be positive and at most {MAX_SPACING}, "
+                              f"got {self.spacing!r}")
+        if self.bounds is not None:
+            object.__setattr__(self, "bounds", _bounds(self.bounds))
+
+
+def _bounds(value) -> tuple:
+    """``[[xmin, xmax], [pmin, pmax]]`` as float pairs, each edge a finite number
+    and each upper edge above its lower one."""
+    try:
+        (x0, x1), (p0, p1) = value
+        ok = all(_is_real(e) and math.isfinite(e) for e in (x0, x1, p0, p1))
+        ok = ok and x0 < x1 and p0 < p1
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise ConfigError(f"'bounds' must be [[xmin, xmax], [pmin, pmax]] with finite "
+                          f"edges, each max above its min, got {value!r}")
+    return (float(x0), float(x1)), (float(p0), float(p1))
 
 
 @dataclass(frozen=True)
@@ -63,6 +86,11 @@ class MetrologySpec:  # second-port photons, phase samples, quantum bound
 
     def __post_init__(self):
         check_fields(self)
+        if self.N_b < 0:
+            raise ConfigError(f"'N_b' must be non-negative, got {self.N_b!r}")
+        if self.phi_points < MIN_PHI_POINTS:
+            raise ConfigError(f"'phi_points' must be at least {MIN_PHI_POINTS}, "
+                              f"got {self.phi_points!r}")
 
 
 SECTIONS = {"system": SystemConfig, "bin": BinSpec, "grid": GridSpec,
@@ -153,12 +181,11 @@ class Manifest:
         return path
 
 
-def _traj_diag(traj) -> dict:
-    return dataclasses.asdict(traj.diagnostics)
+# Each cmd_* but cmd_sweep gets the trajectory, the built sections (SystemConfig,
+# BinSpec, GridSpec, MetrologySpec), the Manifest and the output directory.
 
 
-def cmd_simulate(doc: dict, cfg: SystemConfig, bin: BinSpec, man: Manifest, out: Path):
-    traj = propagate(cfg, bin)
+def cmd_simulate(traj, cfg, bin, grid, spec, man, out):
     rows = []
     for i, t in enumerate(traj.times):
         rows.append([t] + [traj.populations[i, k] for k in range(cfg.M)]
@@ -170,20 +197,11 @@ def cmd_simulate(doc: dict, cfg: SystemConfig, bin: BinSpec, man: Manifest, out:
     man.add_output(out / "rho_v.json")
     beta = cfg.alpha_phys * math.sqrt(bin.tau)
     f_coh = fidelity(traj.rho_v, pure_density(coherent_state(beta, traj.rho_v.dim - 1)))
-    man.diag(coherent_fidelity=f_coh, **_traj_diag(traj))
+    man.diag(coherent_fidelity=f_coh)
 
 
-def cmd_wigner(doc: dict, cfg: SystemConfig, bin: BinSpec, man: Manifest, out: Path):
-    grid = _section(doc, "grid")
-    bounds = grid.bounds
-    if bounds is not None:
-        try:
-            (x0, x1), (p0, p1) = bounds
-            bounds = ((float(x0), float(x1)), (float(p0), float(p1)))
-        except (TypeError, ValueError):
-            raise ConfigError(f"'bounds' must be [[xmin, xmax], [pmin, pmax]], got {bounds!r}")
-    traj = propagate(cfg, bin)
-    w = wigner_grid(traj.rho_v, bounds=bounds, spacing=grid.spacing)
+def cmd_wigner(traj, cfg, bin, grid, spec, man, out):
+    w = wigner_grid(traj.rho_v, bounds=grid.bounds, spacing=grid.spacing)
     rows = []
     for ip, p in enumerate(w.ps):
         for ix, x in enumerate(w.xs):
@@ -193,12 +211,10 @@ def cmd_wigner(doc: dict, cfg: SystemConfig, bin: BinSpec, man: Manifest, out: P
     write_json({"negativity": w.negativity, "norm": w.norm, "spacing": w.spacing,
                 "levels": w.levels}, out / "wigner.json")
     man.add_output(out / "wigner.json")
-    man.diag(negativity=w.negativity, wigner_norm=w.norm, wigner_levels=w.levels,
-             **_traj_diag(traj))
+    man.diag(negativity=w.negativity, wigner_norm=w.norm, wigner_levels=w.levels)
 
 
-def cmd_shortbin_check(doc: dict, cfg: SystemConfig, bin: BinSpec, man: Manifest, out: Path):
-    traj = propagate(cfg, bin)
+def cmd_shortbin_check(traj, cfg, bin, grid, spec, man, out):
     rho_e = partial_trace(traj.rho_bin_start, tuple(range(cfg.M)))
     mom = emitter_moments(rho_e, cfg.M)
     cutoff = traj.rho_v.dim - 1
@@ -211,11 +227,10 @@ def cmd_shortbin_check(doc: dict, cfg: SystemConfig, bin: BinSpec, man: Manifest
     }
     write_json(report, out / "shortbin_report.json")
     man.add_output(out / "shortbin_report.json")
-    man.diag(**report, **_traj_diag(traj))
+    man.diag(**report)
 
 
-def cmd_ansatz(doc: dict, cfg: SystemConfig, bin: BinSpec, man: Manifest, out: Path):
-    traj = propagate(cfg, bin)
+def cmd_ansatz(traj, cfg, bin, grid, spec, man, out):
     fit = fit_displaced_mixture(traj.rho_v, cfg.alpha, bin.tau, cfg.kappa)
     doc_out = {
         "weights": list(fit.weights),
@@ -226,12 +241,10 @@ def cmd_ansatz(doc: dict, cfg: SystemConfig, bin: BinSpec, man: Manifest, out: P
     }
     write_json(doc_out, out / "ansatz.json")
     man.add_output(out / "ansatz.json")
-    man.diag(fit_fidelity=fit.fidelity, **_traj_diag(traj))
+    man.diag(fit_fidelity=fit.fidelity)
 
 
-def cmd_metrology(doc: dict, cfg: SystemConfig, bin: BinSpec, man: Manifest, out: Path):
-    spec = _section(doc, "metrology")
-    traj = propagate(cfg, bin)
+def cmd_metrology(traj, cfg, bin, grid, spec, man, out):
     mom = extract_moments(traj.rho_v)
     baseline = bin.tau * abs(cfg.alpha_phys) ** 2
     phi_grid = np.linspace(1e-4, math.pi - 1e-4, spec.phi_points)
@@ -257,7 +270,7 @@ def cmd_metrology(doc: dict, cfg: SystemConfig, bin: BinSpec, man: Manifest, out
     rows = [[p, m, v] for p, m, v in zip(res.phi_grid, res.mean_jz, res.var_jz)]
     write_csv(out / "jz_curves.csv", ["phi", "mean_jz", "var_jz"], rows)
     man.add_output(out / "jz_curves.csv")
-    man.diag(improvement=res.improvement, **_traj_diag(traj))
+    man.diag(improvement=res.improvement)
 
 
 def _axis(name: str, values, cfg: SystemConfig, bin: BinSpec) -> tuple:
@@ -278,10 +291,11 @@ def cmd_sweep(doc: dict, cfg: SystemConfig, bin: BinSpec, man: Manifest, out: Pa
     rows = run_sweep(plan, cfg, bin, out_dir=out)
     names = [name for name, _ in plan.axes]
     csv_rows = [[r.index] + [r.params[n] for n in names]
-                + [r.objective, r.n_a, r.cutoff, r.trace_drift, r.artifact or "", r.error or ""]
+                + [r.objective, r.n_a, r.cutoff, r.trace_drift, r.artifact or "",
+                   r.error_class or ""]
                 for r in rows]
     header = ["index"] + names + ["objective", "N_a", "cutoff", "trace_drift",
-                                  "artifact", "error"]
+                                  "artifact", "error_class"]
     write_csv(out / "sweep.csv", header, csv_rows)
     man.add_output(out / "sweep.csv")
     write_json([{"index": r.index, "params": r.params, "objective": r.objective,
@@ -319,11 +333,17 @@ def main(argv=None) -> int:
 
     try:
         doc = load_config(args.config)
-        cfg, bin = _section(doc, "system"), _section(doc, "bin")
+        cfg, bin, grid, spec = (_section(doc, name)
+                                for name in ("system", "bin", "grid", "metrology"))
         man = Manifest(args.command, config_snapshot(cfg, bin, doc))
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        COMMANDS[args.command](doc, cfg, bin, man, out)
+        if args.command == "sweep":
+            cmd_sweep(doc, cfg, bin, man, out)
+        else:
+            traj = propagate(cfg, bin)
+            COMMANDS[args.command](traj, cfg, bin, grid, spec, man, out)
+            man.diag(**dataclasses.asdict(traj.diagnostics))
         path = man.write(out)
         print(f"wrote {path}")
         return 0

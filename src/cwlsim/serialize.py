@@ -1,7 +1,10 @@
-"""Stable on-disk formats: JSON with 17-significant-digit floats, CSV, manifests.
+"""Stable on-disk formats: JSON and CSV with shortest round-trip floats, manifests.
 
-JSON documents are UTF-8 with keys in insertion order (configs) and floats
-rendered via ``%.17g`` so every value round-trips exactly.  CSV files are
+JSON documents are UTF-8, written by the standard library's ``json`` with a
+two-space indent and keys in insertion order (configs).  Every float, in JSON
+and in CSV alike, is Python's ``repr``: the shortest text that reads back to
+the same double, so every value round-trips exactly; non-finite values are
+written ``NaN``, ``Infinity`` and ``-Infinity``.  CSV files are
 comma-separated with a header row and LF line endings.  Density matrices are
 stored as row-major [re, im] pairs with a dimension header, so other tools
 can reconstruct them without guessing layout.
@@ -10,7 +13,7 @@ can reconstruct them without guessing layout.
 from __future__ import annotations
 
 import dataclasses
-import math
+import json
 from pathlib import Path
 
 import numpy as np
@@ -18,105 +21,56 @@ import numpy as np
 from .errors import ConfigError
 from .hilbert import DensityMatrix
 
-
-def fmt_float(x: float) -> str:
-    if isinstance(x, (bool,)):
-        return "true" if x else "false"
-    if math.isnan(x):
-        return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    return format(float(x), ".17g")
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _encode(obj, indent: int, out: list):
-    pad = "  " * indent
-    if obj is None:
-        out.append("null")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(fmt_float(float(obj)))
-    elif isinstance(obj, (complex, np.complexfloating)):
-        out.append(f"[{fmt_float(obj.real)}, {fmt_float(obj.imag)}]")
-    elif isinstance(obj, str):
-        import json as _json
-
-        out.append(_json.dumps(obj))
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(obj)
-        if not seq:
-            out.append("[]")
-            return
-        out.append("[")
-        for i, item in enumerate(seq):
-            if i:
-                out.append(", ")
-            _encode(item, indent, out)
-        out.append("]")
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        items = list(obj.items())
-        for i, (k, v) in enumerate(items):
-            import json as _json
-
-            out.append(pad + "  " + _json.dumps(str(k)) + ": ")
-            _encode(v, indent + 1, out)
-            out.append(",\n" if i < len(items) - 1 else "\n")
-        out.append(pad + "}")
-    elif dataclasses.is_dataclass(obj):
-        _encode(dataclasses.asdict(obj), indent, out)
-    else:
-        raise ConfigError(f"cannot serialize {type(obj).__name__}")
+def _plain(obj):
+    """``obj`` as something ``json`` can write: complex as [re, im], numpy
+    scalars and arrays as Python values, dataclasses as dicts."""
+    if isinstance(obj, (complex, np.complexfloating)):
+        return [obj.real, obj.imag]
+    if isinstance(obj, (np.integer, np.floating, np.bool_, np.ndarray)):
+        return obj.tolist()
+    if dataclasses.is_dataclass(obj):
+        return dataclasses.asdict(obj)
+    raise ConfigError(f"cannot serialize {type(obj).__name__}")
 
 
 def dumps_json(obj) -> str:
-    out: list = []
-    _encode(obj, 0, out)
-    return "".join(out) + "\n"
+    return json.dumps(obj, indent=2, default=_plain) + "\n"
 
 
 def write_json(obj, path) -> None:
     Path(path).write_text(dumps_json(obj), encoding="utf-8")
 
 
+def _cell(cell) -> str:
+    if isinstance(cell, (float, np.floating)):
+        text = repr(float(cell))
+        return _NONFINITE.get(text, text)
+    return str(cell)
+
+
 def write_csv(path, header: list, rows) -> None:
     lines = [",".join(header)]
     for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, (float, np.floating)):
-                cells.append(fmt_float(float(cell)))
-            else:
-                cells.append(str(cell))
-        lines.append(",".join(cells))
+        lines.append(",".join(map(_cell, row)))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
 def write_density_matrix(dm: DensityMatrix, path) -> None:
     mat = dm.mat
-    data = []
-    for row in mat:
-        for z in row:
-            data.append([z.real, z.imag])
     doc = {
         "kind": "density_matrix",
         "dim": dm.dim,
         "dims": list(dm.dims),
         "layout": "row-major",
-        "data": data,
+        "data": np.stack([mat.real, mat.imag], -1).reshape(-1, 2).tolist(),
     }
     write_json(doc, path)
 
 
 def read_density_matrix(path) -> DensityMatrix:
-    import json
-
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if doc.get("kind") != "density_matrix":
         raise ConfigError(f"{path} is not a density-matrix document")

@@ -53,6 +53,8 @@ class SweepPlan:
 
     def __post_init__(self):
         check_fields(self)
+        if self.N_b < 0:
+            raise ConfigError(f"'N_b' must be non-negative, got {self.N_b!r}")
         if not isinstance(self.axes, tuple) or not self.axes:
             raise ConfigError("sweep needs a tuple of one or more (name, values) axes")
         for name, values in self.axes:
@@ -83,7 +85,8 @@ class SweepRow:
     cutoff: int
     trace_drift: float
     artifact: str | None = None
-    error: str | None = None
+    error: str | None = None  # "<exception class>: <message>"
+    error_class: str | None = None
 
 
 def _point_id(params: dict) -> str:
@@ -140,6 +143,7 @@ def _evaluate_point(index: int, params: dict, base_cfg: SystemConfig,
             cutoff=-1,
             trace_drift=float("nan"),
             error=f"{type(exc).__name__}: {exc}",
+            error_class=type(exc).__name__,
         )
 
 

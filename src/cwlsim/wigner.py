@@ -221,6 +221,9 @@ def wigner_grid(rho, bounds=None, spacing: float = DEFAULT_SPACING) -> WignerRes
     mat = _as_single_mode(rho)
     if bounds is None:
         bounds = default_bounds(rho)
+    (x0, x1), (p0, p1) = bounds
+    if not (x1 > x0 and p1 > p0):
+        raise ConfigError(f"grid bounds {bounds!r} need each upper edge above its lower edge")
     xs, ps, vals = _evaluate(mat, bounds, spacing)
     norm = _quad_norm(vals, spacing)
     neg, levels = _refined_negativity(mat, bounds, spacing, vals)

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -8,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cwlsim.cli import main
-from cwlsim.serialize import dumps_json, read_density_matrix, write_json
+from cwlsim import cli, sweep
+from cwlsim.cli import COMMANDS, main
+from cwlsim.serialize import dumps_json, read_density_matrix, write_csv, write_json
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -216,27 +218,42 @@ REMOVED_KEYS = {"emitter_levels", "mode", "max_step_bin_frac"}
     ("system", "emitter_levels", 2),
     ("bin", "mode", "flat"),
     ("sytem", None, {"M": 0}),
+    ("sweep", "N_b", -1),
+    ("grid", "spacing", "fine"),
+    ("grid", "spacing", 0.5),
+    ("grid", "bounds", [[2, 1], [1, 1]]),
+    ("grid", "bounds", [["-4", 4], [-4, 4]]),
+    ("metrology", "N_b", -4),
 ], ids=["mode", "M-str", "M-frac", "levels-float", "cutoff-frac", "dim_limit-frac",
         "output_points-str", "kappa-null", "alpha-str", "g_max-str", "bin-list",
         "system-str", "bounds-flat", "Gamma-typo", "tau-typo", "crb-str", "phi_points-low",
         "spacing-zero", "spacing-negative", "axis-scalar", "axis-M-frac", "kappa-nan",
         "output_points-zero", "atol-negative", "max_step-zero", "max_step-legacy",
         "levels-legacy",
-        "mode-legacy", "section-typo"])
-def test_malformed_config_is_configuration_error(tmp_path, capsys, section, key, value):
+        "mode-legacy", "section-typo", "sweep-N_b-negative", "spacing-str",
+        "spacing-coarse", "bounds-empty", "bounds-str", "N_b-negative"])
+def test_malformed_config_is_configuration_error(tmp_path, capsys, monkeypatch,
+                                                 section, key, value):
+    # every subcommand reads the section, and rejects it before it propagates
+    def no_propagation(*args, **kwargs):
+        raise AssertionError("propagated before the configuration was checked")
+
+    monkeypatch.setattr(cli, "propagate", no_propagation)
+    monkeypatch.setattr(sweep, "propagate", no_propagation)
     doc = {name: dict(sec) for name, sec in BASE.items()}
+    doc["sweep"] = {"axes": {"tau": [0.8]}, "objective": "jz_improvement"}
     if key is None:
         doc[section] = value
     else:
         doc.setdefault(section, {})[key] = value
     cfg = write_config(tmp_path, doc)
-    command = section if section in ("metrology", "sweep") else "wigner"
-    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
-    err = capsys.readouterr().err
-    assert "configuration error:" in err
-    keys = {key} | (set(value) if isinstance(value, dict) else set())
-    for removed in keys & REMOVED_KEYS:
-        assert repr(removed) in err  # a removed knob is refused by name
+    for command in ["sweep"] if section == "sweep" else COMMANDS:
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1, command
+        err = capsys.readouterr().err
+        assert "configuration error:" in err
+        keys = {key} | (set(value) if isinstance(value, dict) else set())
+        for removed in keys & REMOVED_KEYS:
+            assert repr(removed) in err  # a removed knob is refused by name
 
 
 def test_omitted_keys_take_dataclass_defaults(tmp_path):
@@ -264,7 +281,50 @@ def test_float_serialization_roundtrip():
     vals = [0.1, 1 / 3, math.pi, 1e-17, 123456.789012345678]
     text = dumps_json({"vals": vals})
     back = json.loads(text)
-    assert back["vals"] == vals  # 17 significant digits round-trip exactly
+    assert back["vals"] == vals  # the shortest round-trip text reads back exactly
+
+
+def test_float_text_is_shortest_and_bit_exact(tmp_path):
+    # JSON and CSV write Python's repr, the shortest text that reads back to the
+    # same double, and the tokens NaN, Infinity and -Infinity
+    assert dumps_json({"v": 0.05}) == '{\n  "v": 0.05\n}\n'
+    rng = np.random.default_rng(7)
+    bits = rng.integers(0, 2**63, 300, dtype=np.int64).view(np.float64)
+    vals = ([0.05, 1.1, 1e-17, -0.0, 5e-324, math.nan, math.inf, -math.inf]
+            + [float(x) for x in bits[np.isfinite(bits)]]
+            + list(rng.standard_normal(100) * 10.0 ** rng.integers(-300, 300, 100)))
+    want = np.array(vals).view(np.uint64)
+    back = json.loads(dumps_json({"vals": vals}))["vals"]
+    assert np.array_equal(np.array(back).view(np.uint64), want)
+    path = tmp_path / "vals.csv"
+    write_csv(path, ["v", "v32"], [[v, np.float32(0.05)] for v in vals])
+    lines = path.read_text().splitlines()
+    cells = [line.split(",") for line in lines[1:]]
+    assert cells[0] == ["0.05", "0.05000000074505806"]
+    assert [c[0] for c in cells[5:8]] == ["NaN", "Infinity", "-Infinity"]
+    assert np.array_equal(np.array([float(c[0]) for c in cells]).view(np.uint64), want)
+
+
+def test_sweep_error_with_comma_keeps_csv_rows(tmp_path):
+    # the tau = 18 point fails with a message that holds a comma; sweep.csv
+    # records the error class, sweep.json the whole message
+    doc = {
+        "system": {"alpha": 0.9, "M": 1, "cavity_cutoff": 9, "numerics": {"dim_limit": 20}},
+        "bin": {"t0": 12.0, "tau": 18.0},
+        "sweep": {"axes": {"tau": [1.0, 18.0]}, "objective": "jz_improvement"},
+    }
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(write_config(tmp_path, doc)),
+                 "--out", str(out)]) == 0
+    with open(out / "sweep.csv", newline="") as f:
+        table = list(csv.reader(f))
+    header = table[0]
+    assert [len(row) for row in table] == [len(header)] * 3
+    by_tau = {row[header.index("tau")]: row for row in table[1:]}
+    assert by_tau["18.0"][header.index("error_class")] == "CutoffConvergenceError"
+    rows = {r["params"]["tau"]: r for r in json.loads((out / "sweep.json").read_text())}
+    assert rows[18.0]["error"].startswith("CutoffConvergenceError: ")
+    assert "at cutoff 9, the largest dim_limit 20 allows" in rows[18.0]["error"]
 
 
 def test_density_matrix_file_roundtrip(tmp_path):

@@ -190,7 +190,8 @@ def test_non_integer_chain_length_is_an_error_row():
                      parallel=False)
     bad = [r for r in rows if r.params["M"] == 0.5]
     assert len(bad) == 1 and bad[0].error.startswith("ConfigError")
-    assert all(r.error is None for r in rows if r.params["M"] == 0)
+    assert bad[0].error_class == "ConfigError"
+    assert all(r.error is None and r.error_class is None for r in rows if r.params["M"] == 0)
 
 
 def test_cli_complex_alpha_axis(tmp_path):

@@ -161,6 +161,13 @@ def test_non_positive_spacing_rejected(spacing):
         wigner_grid(pure_density(fock_state(0, 5)), spacing=spacing)
 
 
+@pytest.mark.parametrize("bounds", [((2.0, 1.0), (1.0, 1.0)), ((-1.0, 1.0), (1.0, 1.0)),
+                                    ((1.0, 1.0), (-1.0, 1.0))])
+def test_empty_or_inverted_bounds_rejected(bounds):
+    with pytest.raises(ConfigError, match="upper edge"):
+        wigner_grid(pure_density(fock_state(0, 5)), bounds=bounds)
+
+
 def test_default_bounds_centered_on_mean():
     beta = 2.0 + 1.0j
     dm = pure_density(coherent_state(beta, 40))
