@@ -290,12 +290,20 @@ def cmd_sweep(doc: dict, cfg: SystemConfig, bin: BinSpec, man: Manifest, out: Pa
     plan = _build(SweepPlan, sec, "sweep")
     rows = run_sweep(plan, cfg, bin, out_dir=out)
     names = [name for name, _ in plan.axes]
-    csv_rows = [[r.index] + [r.params[n] for n in names]
-                + [r.objective, r.n_a, r.cutoff, r.trace_drift, r.artifact or "",
-                   r.error_class or ""]
+    # an axis holding a complex value takes two real columns, <name>_re and <name>_im
+    split = {name for name, values in plan.axes if any(isinstance(v, complex) for v in values)}
+
+    def axis_cells(params: dict) -> list:
+        return [c for n in names for c in ((complex(params[n]).real, complex(params[n]).imag)
+                                           if n in split else (params[n],))]
+
+    csv_rows = [[r.index] + axis_cells(r.params)
+                + [r.objective, r.n_a, r.cutoff, r.trace_drift, r.n_rhs, r.wall_s,
+                   r.artifact or "", r.error_class or ""]
                 for r in rows]
-    header = ["index"] + names + ["objective", "N_a", "cutoff", "trace_drift",
-                                  "artifact", "error_class"]
+    axis_cols = [c for n in names for c in ((f"{n}_re", f"{n}_im") if n in split else (n,))]
+    header = (["index"] + axis_cols + ["objective", "N_a", "cutoff", "trace_drift", "n_rhs",
+                                       "wall_s", "artifact", "error_class"])
     write_csv(out / "sweep.csv", header, csv_rows)
     man.add_output(out / "sweep.csv")
     write_json([{"index": r.index, "params": r.params, "objective": r.objective,

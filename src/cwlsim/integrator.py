@@ -6,12 +6,16 @@ and t0 + tau, both segments by rtol/atol alone.  The bin runs in the
 displaced frame (see `propagate`) and opens at the coupling's right limit:
 at t0 itself the generator is evaluated just after t0, where g = -g_max, so
 the first stage and the starting-step rule see the open bin instead of the
-closed-bin g(t0) = 0.  Emitter populations are sampled on a uniform output
-grid from the solver's dense output; the full state is never stored along
-the way.  Positivity is checked on accepted step ends: for each of
-POSITIVITY_SAMPLES evenly spaced times, the first step end at or after it,
-one state per step.  Neither the stepper nor the frame change makes a BLAS
-call, so the result is bit-identical at any BLAS thread count.
+closed-bin g(t0) = 0.  The output grid records the emitter populations and
+the lab-frame cavity occupation: after each accepted step that passes grid
+times, the solver's dense output is built for the entries those two read
+alone (the diagonal of vec(rho) and, in the bin, the entries of <b'>), and
+all the step's grid times are evaluated in one contraction; the full state is
+never interpolated or stored along the way.  Positivity is checked on
+accepted step ends: for each of POSITIVITY_SAMPLES evenly spaced times, the
+first step end at or after it, one state per step.  Neither the stepper, the
+sampler nor the frame change makes a BLAS call, so the result is
+bit-identical at any BLAS thread count.
 """
 
 from __future__ import annotations
@@ -194,45 +198,59 @@ class _Dop853:
         self.t_old, self.y_old, self.f_old, self.h = t, y, self.f, h
         self.t, self.y, self.f = t_new, y_new, f_new
 
-    def dense_output(self):
-        """Order-7 interpolant over the last accepted step, as ``interp(t)``."""
-        t_old, h, Kf = self.t_old, self.h, self.Kf
-        yf_old = self.y_old.view(np.float64)
+    def dense_output(self, keep: np.ndarray):
+        """Order-7 interpolant of the entries ``keep`` of y over the last accepted
+        step, as ``interp(ts)``: one row of those entries per time in ``ts``.
+
+        The three extra stages are RHS evaluations of the whole state; the
+        interpolant is built and evaluated on the kept entries alone.
+        """
+        t_old, h = self.t_old, self.h
         for s in range(_N + 1, _dop.N_STAGES_EXTENDED):
-            self._stage(s, t_old, yf_old, h)
-        f_old = self.f_old.view(np.float64)
-        dy = self.y.view(np.float64) - yf_old
+            self._stage(s, t_old, self.y_old.view(np.float64), h)
+        y_old = self.y_old[keep].view(np.float64)
+        f_old = self.f_old[keep].view(np.float64)
+        dy = self.y[keep].view(np.float64) - y_old
         F = np.empty((_dop.INTERPOLATOR_POWER, dy.size))
         F[0] = dy
         F[1] = h * f_old - dy
-        F[2] = 2 * dy - h * (self.f.view(np.float64) + f_old)
-        F[3:] = np.einsum("ij,jk->ik", h * _D, Kf)
+        F[2] = 2 * dy - h * (self.f[keep].view(np.float64) + f_old)
+        F[3:] = np.einsum("ij,jk->ik", h * _D, self.K.take(keep, axis=1).view(np.float64))
 
-        def interp(t: float) -> np.ndarray:
-            x = (t - t_old) / h
+        def interp(ts: np.ndarray) -> np.ndarray:
+            x = (ts - t_old) / h
             # x, x(1-x), x^2(1-x), ..., x^4(1-x)^3: scipy's nested product
-            weights = np.cumprod([x, 1 - x] * 3 + [x])
-            return (yf_old + _stage_sum(weights, F)).view(complex)
+            weights = np.cumprod(np.stack([x, 1 - x] * 3 + [x], axis=1), axis=1)
+            return (y_old + np.einsum("sj,jk->sk", weights, F)).view(complex)
 
         return interp
 
 
 def _integrate_segment(fun, num: Numerics, t_start: float, t_end: float, y0: np.ndarray,
-                       sample_times: np.ndarray, collect,
+                       sample_times: np.ndarray, sampler,
                        check_times: list[float], check_out: list,
                        counters: _Counters) -> np.ndarray:
     """Step ``fun`` from t_start to t_end, sampling ``sample_times`` via dense output.
 
-    ``collect(t, y)`` is called for every sample time in order.  For
+    ``sampler`` is `_collector`'s ``(keep, collect)``: each step that passes
+    sample times hands them, in order, to ``collect`` with the interpolated
+    entries ``keep`` of y, one row per time.  Sample times at or before
+    t_start read y0, and any left after the last step read y_end.  For
     positivity sampling, the first accepted step end at or after each of the
     ``check_times`` is appended to ``check_out``, once per step.
     Step, RHS and drift counts are added to ``counters``.  Returns y_end.
     """
+    keep, collect = sampler
+
+    def collect_state(ts, y):
+        if len(ts):
+            collect(ts, np.broadcast_to(y[keep], (len(ts), keep.size)))
+
+    idx = int(np.count_nonzero(sample_times <= t_start))
+    collect_state(sample_times[:idx], y0)
     if t_end <= t_start:
         return y0
     solver = _Dop853(fun, t_start, y0, t_end, num.rtol, num.atol)
-    idx = 0
-    n_samples = len(sample_times)
     n_steps = 0
     n_checked = 0
     dim = math.isqrt(y0.size)
@@ -249,20 +267,17 @@ def _integrate_segment(fun, num: Numerics, t_start: float, t_end: float, y0: np.
             raise StepSizeError(
                 solver.t, f"trace drifted by {drift:.2e} at t={solver.t:.6g}"
             )
-        interp = None
-        while idx < n_samples and sample_times[idx] <= solver.t + 1e-15:
-            if interp is None:
-                interp = solver.dense_output()
-            ts = min(max(sample_times[idx], solver.t_old), solver.t)
-            collect(sample_times[idx], interp(ts))
-            idx += 1
+        n_due = int(np.searchsorted(sample_times, solver.t + 1e-15, side="right"))
+        if n_due > idx:
+            ts = sample_times[idx:n_due]
+            interp = solver.dense_output(keep)
+            collect(ts, interp(np.clip(ts, solver.t_old, solver.t)))
+            idx = n_due
         n_due = bisect.bisect_right(check_times, solver.t + 1e-15)
         if n_due > n_checked:
             check_out.append(solver.y)
             n_checked = n_due
-    while idx < n_samples:  # samples landing exactly on t_end
-        collect(sample_times[idx], solver.y)
-        idx += 1
+    collect_state(sample_times[idx:], solver.y)  # samples landing exactly on t_end
     counters.n_steps += n_steps
     counters.n_rhs += solver.n_rhs
     counters.n_rejected += solver.n_rejected
@@ -282,26 +297,31 @@ def _opened_at(gen: Generator, t0: float):
 
 def _collector(grid: np.ndarray, pops: np.ndarray, cav: np.ndarray, gen: Generator,
                levels: int, frame=None):
-    """``collect(t, y)``: the emitter populations of vec(rho) ``y`` into ``pops``
-    at the grid point of ``t``.  Given the frame amplitude ``frame(t)`` it also
-    puts the lab-frame cavity occupation n' + 2 Re(beta* <b'>) + |beta|^2 into
-    ``cav``, from the in-frame <b'+ b'> and <b'>."""
+    """``(keep, collect)`` for `_integrate_segment`: the entries of vec(rho)
+    the output grid reads, and ``collect(ts, yk)``, which writes the emitter
+    populations at the grid points of the times ``ts`` into ``pops`` from the
+    rows ``yk`` of those entries.  Given the frame amplitude ``frame(t)`` it
+    also puts the lab-frame cavity occupation n' + 2 Re(beta* <b'>) + |beta|^2
+    into ``cav``, from the in-frame <b'+ b'> and <b'>.  Every contraction is an
+    ``np.einsum`` without ``optimize``, so none calls BLAS."""
     d = gen.dim
-    pop_diags = [np.real(p.diagonal()) for p in gen.ops["pops"]]
+    pop_diags = np.real([p.diagonal() for p in gen.ops["pops"]]).reshape(-1, d)
     cav_diag = np.tile(np.arange(d // levels, dtype=float), levels)
-    b = gen.ops["b"].tocoo()
-    b_at = b.col * d + b.row  # Tr(b rho) = sum b[r, c] rho[c, r]
+    keep = np.arange(d) * (d + 1)  # diagonal of vec(rho)
+    if frame is not None:
+        b = gen.ops["b"].tocoo()
+        keep = np.concatenate([keep, b.col * d + b.row])  # Tr(b rho) = sum b[r, c] rho[c, r]
 
-    def collect(t, y):
-        i = min(int(np.searchsorted(grid, t - 1e-15)), len(grid) - 1)
-        diag = np.real(y.reshape(d, d).diagonal())
-        for k, pd in enumerate(pop_diags):
-            pops[i, k] = float(diag @ pd)
+    def collect(ts, yk):
+        i = np.minimum(np.searchsorted(grid, ts - 1e-15), len(grid) - 1)
+        diag = yk[:, :d].real
+        pops[i] = np.einsum("sd,kd->sk", diag, pop_diags)
         if frame is not None:
-            beta = frame(t)
-            b_mean = np.sum(b.data * y[b_at])
-            cav[i] = float(diag @ cav_diag) + 2 * (np.conj(beta) * b_mean).real + abs(beta) ** 2
-    return collect
+            beta = np.array([frame(t) for t in ts])
+            b_mean = np.einsum("sk,k->s", yk[:, d:], b.data)
+            cav[i] = (np.einsum("sd,d->s", diag, cav_diag)
+                      + 2 * (np.conj(beta) * b_mean).real + np.abs(beta) ** 2)
+    return keep, collect
 
 
 def propagate(cfg: SystemConfig, bin: BinSpec, *, verify_cutoff: bool = False) -> Trajectory:
@@ -334,14 +354,13 @@ def propagate(cfg: SystemConfig, bin: BinSpec, *, verify_cutoff: bool = False) -
     counters = _Counters()
 
     gen_e = get_generator(cfg, bin, 1)
-    collect = _collector(grid, pops, cav, gen_e, levels)
     y = np.zeros(levels * levels, dtype=complex)
     y[0] = 1.0
-    collect(0.0, y)
     pre_checks: list[np.ndarray] = []
     t_wall = time.perf_counter()
     y = _integrate_segment(
-        gen_e.apply_vec, num, 0.0, bin.t0, y, grid[(grid > 0.0) & (grid <= bin.t0)], collect,
+        gen_e.apply_vec, num, 0.0, bin.t0, y, grid[grid <= bin.t0],
+        _collector(grid, pops, cav, gen_e, levels),
         [t for t in check_times if t <= bin.t0], pre_checks, counters,
     )
     counters.pre_bin_s = time.perf_counter() - t_wall

@@ -24,8 +24,9 @@ import json
 import math
 import multiprocessing
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from pathlib import Path
 
@@ -84,6 +85,8 @@ class SweepRow:
     n_a: float
     cutoff: int
     trace_drift: float
+    n_rhs: int = -1  # Diagnostics.n_rhs of the point's propagation
+    wall_s: float = field(default=float("nan"), compare=False)  # the point's own wall time
     artifact: str | None = None
     error: str | None = None  # "<exception class>: <message>"
     error_class: str | None = None
@@ -105,9 +108,14 @@ def apply_params(base_cfg: SystemConfig, base_bin: BinSpec, params: dict):
 
 def _evaluate_point(index: int, params: dict, base_cfg: SystemConfig,
                     base_bin: BinSpec, plan: SweepPlan, out_dir: Path | None):
+    """One row.  The point propagates on the smallest output grid, its two
+    ends: a row reads only ``rho_v`` and the diagnostics, and the grid never
+    steers the steps, so ``rho_v`` is the same bit for bit as on any grid."""
+    t_wall = time.perf_counter()
     try:
         cfg, bin = apply_params(base_cfg, base_bin, params)
-        traj = propagate(cfg, bin)
+        traj = propagate(dataclasses.replace(
+            cfg, numerics=dataclasses.replace(cfg.numerics, output_points=2)), bin)
         mom = extract_moments(traj.rho_v)
         if plan.objective == "negativity":
             value = wigner_grid(traj.rho_v).negativity
@@ -132,6 +140,8 @@ def _evaluate_point(index: int, params: dict, base_cfg: SystemConfig,
             n_a=mom.N_a,
             cutoff=traj.diagnostics.cutoff,
             trace_drift=traj.diagnostics.trace_drift_max,
+            n_rhs=traj.diagnostics.n_rhs,
+            wall_s=time.perf_counter() - t_wall,
             artifact=artifact,
         )
     except Exception as exc:  # per-point failures recorded, not fatal
@@ -142,6 +152,7 @@ def _evaluate_point(index: int, params: dict, base_cfg: SystemConfig,
             n_a=float("nan"),
             cutoff=-1,
             trace_drift=float("nan"),
+            wall_s=time.perf_counter() - t_wall,
             error=f"{type(exc).__name__}: {exc}",
             error_class=type(exc).__name__,
         )

@@ -176,6 +176,11 @@ def test_sweep_subcommand(tmp_path):
     assert len(rows) == 2
     assert rows[0]["objective"] >= rows[1]["objective"]
     assert Path(rows[0]["artifact"]).exists()
+    with open(out / "sweep.csv", newline="") as f:
+        table = list(csv.DictReader(f))
+    assert list(table[0]) == ["index", "tau", "objective", "N_a", "cutoff", "trace_drift",
+                              "n_rhs", "wall_s", "artifact", "error_class"]
+    assert all(int(r["n_rhs"]) > 0 and 0 < float(r["wall_s"]) < 60 for r in table)
 
 
 def test_config_error_exit_code(tmp_path):

@@ -385,6 +385,32 @@ def test_positivity_samples_are_step_ends(monkeypatch):
     assert n_checks == integrator.POSITIVITY_SAMPLES
 
 
+@pytest.mark.parametrize("cfg, b", [
+    pytest.param(METRO_SINGLE_CFG, METRO_SINGLE_BIN, id="metro_single"),
+    pytest.param(SystemConfig(alpha=PARITY_DRIVE, M=2), PARITY_BIN, id="parity2"),
+])
+def test_output_grid_matches_full_state_oracle(cfg, b, monkeypatch):
+    # The grid samples come from an interpolant of the diagonal and the <b'>
+    # entries alone, all times of a step at once; the oracle interpolates the
+    # whole state one time at a time.  The grid never steers the steps.
+    import sampling_oracle
+    from cwlsim import integrator
+
+    traj = propagate(cfg, b)
+    two = dataclasses.replace(cfg.numerics, output_points=2)
+    assert np.array_equal(propagate(dataclasses.replace(cfg, numerics=two), b).rho_v.mat,
+                          traj.rho_v.mat)
+    monkeypatch.setattr(integrator, "_integrate_segment", sampling_oracle.segment)
+    monkeypatch.setattr(integrator, "_collector", sampling_oracle.collector)
+    ref = propagate(cfg, b)
+    assert np.array_equal(ref.rho_v.mat, traj.rho_v.mat)
+    assert (ref.diagnostics.n_rhs, ref.diagnostics.n_steps) == (traj.diagnostics.n_rhs,
+                                                                traj.diagnostics.n_steps)
+    assert np.max(np.abs(traj.populations - ref.populations)) <= 1e-13
+    assert np.max(np.abs(traj.cavity_occupation - ref.cavity_occupation)) <= 1e-13
+    assert np.all(ref.populations[1:].sum(axis=1) > 0)  # every grid point was written
+
+
 BLAS_PROBE = """
 import hashlib
 from cwlsim import SweepPlan, SystemConfig, propagate, run_sweep, wigner_grid

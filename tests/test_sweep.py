@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import multiprocessing
 import os
@@ -33,9 +34,46 @@ def test_rows_sorted_by_objective():
     assert len(rows) == 4
 
 
+def test_rows_match_default_grid_propagations():
+    # Sweep points propagate on a two-point output grid.  The grid never steers
+    # the steps, so each row equals the one from a propagation on the default grid.
+    from cwlsim.metrology import extract_moments, jz_sensitivity
+    from cwlsim.presets import METRO_N_B, METRO_SINGLE_BIN, METRO_SINGLE_CFG, METRO_SINGLE_GRID
+
+    cfg = METRO_SINGLE_CFG
+    plan = SweepPlan(axes=(("t0", METRO_SINGLE_GRID["t0"][:2]),
+                           ("tau", METRO_SINGLE_GRID["tau"][:2])),
+                     objective="jz_improvement", N_b=METRO_N_B)
+    rows = run_sweep(plan, cfg, METRO_SINGLE_BIN, parallel=False)
+    assert len(rows) == 4
+    for row in rows:
+        b = dataclasses.replace(METRO_SINGLE_BIN, **row.params)
+        traj = propagate(cfg, b)
+        diag = traj.diagnostics
+        mom = extract_moments(traj.rho_v)
+        value = jz_sensitivity(mom, plan.N_b, baseline_na=b.tau * abs(cfg.alpha_phys) ** 2)
+        assert (row.objective.hex(), row.n_a.hex(), row.cutoff, row.trace_drift.hex()) == (
+            value.improvement.hex(), mom.N_a.hex(), diag.cutoff, diag.trace_drift_max.hex())
+
+
+def test_rows_carry_point_counters():
+    from cwlsim.presets import METRO_SINGLE_BIN, METRO_SINGLE_CFG
+
+    plan = SweepPlan(axes=(("tau", (4.0,)),), objective="jz_improvement")
+    (row,) = run_sweep(plan, METRO_SINGLE_CFG, METRO_SINGLE_BIN, parallel=False)
+    two = dataclasses.replace(METRO_SINGLE_CFG, numerics=dataclasses.replace(
+        METRO_SINGLE_CFG.numerics, output_points=2))
+    b = dataclasses.replace(METRO_SINGLE_BIN, tau=4.0)
+    assert row.n_rhs == propagate(two, b).diagnostics.n_rhs > 0
+    assert 0 < row.wall_s < 60
+    # the wall time takes no part in row comparisons; n_rhs does
+    assert dataclasses.replace(row, wall_s=row.wall_s + 1) == row
+    assert dataclasses.replace(row, n_rhs=row.n_rhs + 1) != row
+
+
 def _row_bits(row):
     return (row.index, row.params, row.objective.hex(), row.n_a.hex(), row.cutoff,
-            row.trace_drift.hex(), row.error)
+            row.trace_drift.hex(), row.n_rhs, row.error)
 
 
 class _PoolSpy(ProcessPoolExecutor):
@@ -195,6 +233,7 @@ def test_non_integer_chain_length_is_an_error_row():
 
 
 def test_cli_complex_alpha_axis(tmp_path):
+    import csv
     import json
 
     from cwlsim.cli import main
@@ -211,3 +250,9 @@ def test_cli_complex_alpha_axis(tmp_path):
     assert len(rows) == 2
     assert all(r["error"] is None for r in rows)
     assert sorted(json.dumps(r["params"]["alpha"]) for r in rows) == ["0.5", "[0.3, 0.1]"]
+    # sweep.csv splits the complex axis into two real columns that read back exactly
+    with open(tmp_path / "out" / "sweep.csv", newline="") as f:
+        table = list(csv.DictReader(f))
+    assert list(table[0])[1:3] == ["alpha_re", "alpha_im"]
+    alphas = {(float(r["alpha_re"]), float(r["alpha_im"])) for r in table}
+    assert alphas == {(0.3, 0.1), (0.5, 0.0)}
