@@ -5,9 +5,9 @@ __version__ = "0.1.0"
 
 from .ansatz import AnsatzFit, fit_displaced_mixture
 from .bethe import transmission_phase
-from .hilbert import (DensityMatrix, annihilation, coherent_state,
-                      displacement_operator, fidelity, fock_state,
-                      partial_trace, pure_density, tensor, trace_distance)
+from .hilbert import (DensityMatrix, annihilation, coherent_state, fidelity,
+                      fock_state, partial_trace, pure_density, tensor,
+                      trace_distance)
 from .integrator import Trajectory, propagate
 from .metrology import (MomentSet, MZResult, crb, extract_moments,
                         jz_sensitivity, squeezed_reference)
@@ -21,9 +21,8 @@ __all__ = [
     "__version__",
     "AnsatzFit", "fit_displaced_mixture",
     "transmission_phase",
-    "DensityMatrix", "annihilation", "coherent_state", "displacement_operator",
-    "fidelity", "fock_state", "partial_trace", "pure_density", "tensor",
-    "trace_distance",
+    "DensityMatrix", "annihilation", "coherent_state", "fidelity", "fock_state",
+    "partial_trace", "pure_density", "tensor", "trace_distance",
     "Trajectory", "propagate",
     "MomentSet", "MZResult", "crb", "extract_moments", "jz_sensitivity",
     "squeezed_reference",

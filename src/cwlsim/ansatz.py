@@ -1,11 +1,13 @@
 """Three-component fit of the captured state by displaced few-photon states.
 
-After undoing the coherent displacement sqrt(tau) alpha, the captured state is
-approximated by a rank-3 mixture whose components live in the span of the
-lowest Fock levels.  The component weights are the largest eigenvalues of the
-state (the spectrum is displacement invariant) and the coefficient rows come
-from projecting the corresponding eigenvectors, re-orthonormalized in
-descending-eigenvalue order.
+After undoing the coherent displacement sqrt(tau) alpha (D+ rho D, with D the
+exact block of `hilbert.displacement_block` on the state's own Fock levels),
+the captured state is approximated by a rank-3 mixture whose components live
+in the span of the lowest Fock levels.  The component weights are the largest
+eigenvalues of the undisplaced state and the coefficient rows come from
+projecting the corresponding eigenvectors, re-orthonormalized in
+descending-eigenvalue order.  Each component is displaced back by the same
+block and normalized, so the mixture has unit trace.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .errors import ConfigError
-from .hilbert import DensityMatrix, displacement_operator, fidelity, state_overlap
+from .hilbert import DensityMatrix, displacement_block, fidelity, state_overlap
 
 SPAN_LEVELS = 3  # |0>, |1>, |2>
 N_COMPONENTS = 3
@@ -52,7 +54,7 @@ def fit_displaced_mixture(rho_v, alpha: complex, tau: float, kappa: float = 1.0,
     if span > dim:
         raise ConfigError(f"span {span} exceeds state dimension {dim}")
     beta = complex(alpha) * math.sqrt(kappa) * math.sqrt(tau)
-    D = displacement_operator(beta, dim - 1)
+    D = displacement_block(beta, dim, dim)
     tilde = D.conj().T @ mat @ D
     tilde = (tilde + tilde.conj().T) / 2
 
@@ -86,9 +88,8 @@ def fit_displaced_mixture(rho_v, alpha: complex, tau: float, kappa: float = 1.0,
     wsum = float(np.sum(weights))
     sigma = np.zeros_like(mat)
     for w, row in zip(weights, coeffs):
-        psi = np.zeros(dim, dtype=complex)
-        psi[:span] = row
-        psi = D @ psi
+        psi = D[:, :span] @ row
+        psi /= np.linalg.norm(psi)
         sigma += (w / wsum) * np.outer(psi, psi.conj())
     fid = fidelity(mat, sigma)
     ov = state_overlap(mat, sigma)

@@ -3,7 +3,10 @@
 Composite spaces are ordered emitter 1 (x) ... (x) emitter M (x) cavity, with
 the cavity always last.  Operators are kept sparse (CSR), density matrices
 dense.  A Fock space with cutoff ``c`` retains the levels ``0..c`` and has
-dimension ``c + 1``.
+dimension ``c + 1``.  The displacement D(beta) has one form,
+`displacement_block`: the exact elements <m|D(beta)|n> of the untruncated
+operator on any rows and columns, so a state displaced into a finite space
+loses only the weight it puts above the cutoff.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh, expm
+from scipy.linalg import eigh
 from scipy.special import eval_genlaguerre, gammaln
 
 from .errors import ConfigError
@@ -64,41 +67,20 @@ def default_coherent_cutoff(beta: complex) -> int:
 def coherent_state(beta: complex, cutoff: int | None = None) -> np.ndarray:
     """Coherent-state amplitudes c_n = e^{-|b|^2/2} b^n / sqrt(n!), renormalized.
 
-    With the default cutoff the truncation leakage before renormalization is
-    below 1e-10.
+    The amplitudes are column 0 of `displacement_block`, D(b)|0>.  With the
+    default cutoff the truncation leakage before renormalization is below
+    1e-10.
     """
     if cutoff is None:
         cutoff = default_coherent_cutoff(beta)
     if cutoff < 0:
         raise ConfigError("cutoff must be non-negative")
-    n = np.arange(cutoff + 1)
-    # log-domain to avoid overflow of b^n / sqrt(n!) at large |b|
-    if beta == 0:
-        amps = np.zeros(cutoff + 1, dtype=complex)
-        amps[0] = 1.0
-        return amps
-    logmag = n * math.log(abs(beta)) - 0.5 * _log_factorial(n) - 0.5 * abs(beta) ** 2
-    phase = np.exp(1j * n * np.angle(beta))
-    amps = np.exp(logmag) * phase
-    norm = np.linalg.norm(amps)
-    return amps / norm
+    amps = displacement_block(beta, cutoff + 1, 1)[:, 0]
+    return amps / np.linalg.norm(amps)
 
 
 def _log_factorial(n: np.ndarray) -> np.ndarray:
     return gammaln(np.asarray(n, dtype=float) + 1.0)
-
-
-def displacement_operator(beta: complex, cutoff: int) -> np.ndarray:
-    """Displacement matrix exp(beta a^dag - beta* a) on Fock levels 0..cutoff.
-
-    Unitary on the retained subspace up to truncation accuracy; exact matrix
-    exponential of the truncated generator.
-    """
-    if cutoff < 0:
-        raise ConfigError("cutoff must be non-negative")
-    a = annihilation(cutoff).toarray()
-    gen = beta * a.conj().T - np.conj(beta) * a
-    return expm(gen)
 
 
 def displacement_block(beta: complex, rows: int, cols: int) -> np.ndarray:

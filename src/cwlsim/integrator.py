@@ -10,12 +10,12 @@ closed-bin g(t0) = 0.  The output grid records the emitter populations and
 the lab-frame cavity occupation: after each accepted step that passes grid
 times, the solver's dense output is built for the entries those two read
 alone (the diagonal of vec(rho) and, in the bin, the entries of <b'>), and
-all the step's grid times are evaluated in one contraction; the full state is
-never interpolated or stored along the way.  Positivity is checked on
-accepted step ends: for each of POSITIVITY_SAMPLES evenly spaced times, the
-first step end at or after it, one state per step.  Neither the stepper, the
-sampler nor the frame change makes a BLAS call, so the result is
-bit-identical at any BLAS thread count.
+all the step's grid times before its end are evaluated in one contraction
+(one on the end reads the state); the full state is never interpolated.
+Positivity is checked on accepted step ends: for each of POSITIVITY_SAMPLES
+evenly spaced times, the first step end at or after it, one state per step.
+Neither the stepper, the sampler nor the frame change makes a BLAS call, so
+the result is bit-identical at any BLAS thread count.
 """
 
 from __future__ import annotations
@@ -234,7 +234,8 @@ def _integrate_segment(fun, num: Numerics, t_start: float, t_end: float, y0: np.
 
     ``sampler`` is `_collector`'s ``(keep, collect)``: each step that passes
     sample times hands them, in order, to ``collect`` with the interpolated
-    entries ``keep`` of y, one row per time.  Sample times at or before
+    entries ``keep`` of y, one row per time.  Sample times on a step end (to
+    1e-15) read that step's y without a dense output, those at or before
     t_start read y0, and any left after the last step read y_end.  For
     positivity sampling, the first accepted step end at or after each of the
     ``check_times`` is appended to ``check_out``, once per step.
@@ -268,11 +269,12 @@ def _integrate_segment(fun, num: Numerics, t_start: float, t_end: float, y0: np.
                 solver.t, f"trace drifted by {drift:.2e} at t={solver.t:.6g}"
             )
         n_due = int(np.searchsorted(sample_times, solver.t + 1e-15, side="right"))
-        if n_due > idx:
-            ts = sample_times[idx:n_due]
-            interp = solver.dense_output(keep)
-            collect(ts, interp(np.clip(ts, solver.t_old, solver.t)))
-            idx = n_due
+        n_inside = int(np.searchsorted(sample_times, solver.t))  # the rest land on solver.t
+        if n_inside > idx:
+            ts = sample_times[idx:n_inside]
+            collect(ts, solver.dense_output(keep)(np.maximum(ts, solver.t_old)))
+        collect_state(sample_times[max(idx, n_inside):n_due], solver.y)
+        idx = n_due
         n_due = bisect.bisect_right(check_times, solver.t + 1e-15)
         if n_due > n_checked:
             check_out.append(solver.y)

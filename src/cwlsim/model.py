@@ -16,12 +16,13 @@ rate.  Both are linear in the real cavity coupling g(t) of the flat capture
 mode, which is the Liouvillian's only time dependence.  `build_hamiltonian`,
 `build_jump_operators` and `Generator` all derive from that one source; the
 generator expands it into the superoperator polynomial L0 + g L1 + g^2 L2,
-cached per (config, cavity dimension, frame): only g(t) reads the bin.
+cached per (physics, cavity dimension, frame): only g(t) reads the bin.
 """
 
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 import numbers
 import operator
@@ -348,7 +349,6 @@ def _commutator_super(H):
 @lru_cache(maxsize=16)
 def _superoperators(cfg: SystemConfig, cav_dim: int, displaced: bool):
     """(L0, L1, L2, ops) of `Generator`; cached without the bin, which enters only via g(t)."""
-    check_dim(cfg, cav_dim)
     H0, H1, channels, ops = _model_parts(cfg, cav_dim, displaced)
     # terms are summed as they are built, so only one is held at a time
     live = [(rate, A, B) for rate, A, B in channels if rate != 0]
@@ -375,7 +375,9 @@ class Generator:
     def __init__(self, cfg: SystemConfig, bin: BinSpec, cav_dim: int, displaced: bool):
         self.cfg = cfg
         self.bin = bin
-        self.L0, self.L1, self.L2, self.ops = _superoperators(cfg, cav_dim, displaced)
+        check_dim(cfg, cav_dim)
+        physics = dataclasses.replace(cfg, numerics=Numerics(), cavity_cutoff=None)  # cache key
+        self.L0, self.L1, self.L2, self.ops = _superoperators(physics, cav_dim, displaced)
         self.dim = self.ops["dim"]
 
     def g(self, t: float) -> float:

@@ -5,9 +5,10 @@ two-space indent and keys in insertion order (configs).  Every float, in JSON
 and in CSV alike, is Python's ``repr``: the shortest text that reads back to
 the same double, so every value round-trips exactly; non-finite values are
 written ``NaN``, ``Infinity`` and ``-Infinity``.  CSV files are
-comma-separated with a header row and LF line endings.  Density matrices are
-stored as row-major [re, im] pairs with a dimension header, so other tools
-can reconstruct them without guessing layout.
+comma-separated with a header row and LF line endings; a text cell holding a
+comma, double quote, CR or LF is quoted as RFC 4180 says.  Density matrices
+are stored as row-major [re, im] pairs with a dimension header, so other
+tools can reconstruct them without guessing layout.
 """
 
 from __future__ import annotations
@@ -48,11 +49,14 @@ def _cell(cell) -> str:
     if isinstance(cell, (float, np.floating)):
         text = repr(float(cell))
         return _NONFINITE.get(text, text)
-    return str(cell)
+    text = str(cell)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def write_csv(path, header: list, rows) -> None:
-    lines = [",".join(header)]
+    lines = [",".join(map(_cell, header))]
     for row in rows:
         lines.append(",".join(map(_cell, row)))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError, SeriesConvergenceError
-from .hilbert import DensityMatrix, displacement_operator, pad_fock
+from .hilbert import DensityMatrix, displacement_block
 from .model import chain_operators, default_cutoff
 
 log = logging.getLogger(__name__)
@@ -75,9 +75,11 @@ def shortbin_rho(mom: EmitterMoments, alpha: complex, tau: float, kappa: float,
     """Closed-form captured-mode state: displaced (M+1)-component mixture.
 
     ``alpha`` is in units of sqrt(kappa).  The undisplaced kernel lives on the
-    Fock span {0..M}; the result is displaced by sqrt(tau) alpha and its
-    trace renormalized (the deficit, from displacement truncation and the
-    first-order nature of the formula, is logged).
+    Fock span {0..M} and has trace exactly 1; the result is D K D+ with D the
+    exact block <m|D(sqrt(tau) alpha)|n>, m <= cutoff, n <= M, of
+    `hilbert.displacement_block`.  Its trace falls short of 1 only by the
+    weight the displaced kernel puts above the cutoff; that deficit is logged
+    and renormalized away.
     """
     if mom.M != M:
         raise ConfigError("moment table size does not match M")
@@ -104,9 +106,8 @@ def shortbin_rho(mom: EmitterMoments, alpha: complex, tau: float, kappa: float,
                 )
                 kernel[m - k, n - k] += w * coeff
 
-    big = pad_fock(kernel, dim)
-    D = displacement_operator(alpha_phys * math.sqrt(tau), cutoff)
-    out = D @ big @ D.conj().T
+    D = displacement_block(alpha_phys * math.sqrt(tau), dim, M + 1)
+    out = D @ kernel @ D.conj().T
     out = (out + out.conj().T) / 2
     tr = float(np.real(np.trace(out)))
     if abs(tr - 1.0) > 1e-12:

@@ -17,12 +17,11 @@ then costs two small contractions.  This is exact in the truncated basis;
 the tests check it against the displaced-parity form
 W(beta) = (2/pi) Tr[rho D(2 beta) P] and the y-integral by quadrature.
 
-States far from the origin are shifted to the origin first (W is translation
-covariant).  The separable form does not need that shift, and the shift is
-not exact: `hilbert.displacement_operator` exponentiates the truncated
-generator, which biases W of states with a large mean amplitude.  It is kept
-until perfbench's capture negativities are re-pinned against an exact
-reference (see ROADMAP), so that every pinned number stays put until then.
+States far from the origin are shifted to the origin first, once per grid
+(W is translation covariant).  The separable form does not need that shift,
+and `_recentered` is the library's one truncated matrix exponential, which
+biases W of states with a large mean amplitude.  It stays only so that
+perfbench's pinned capture negativities stay put; ROADMAP item 6 removes it.
 """
 
 from __future__ import annotations
@@ -31,9 +30,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import expm
 
 from .errors import ConfigError, GridTooCoarseError
-from .hilbert import DensityMatrix, displacement_operator
+from .hilbert import DensityMatrix, annihilation
 
 MAX_SPACING = 0.1
 DEFAULT_SPACING = 0.05
@@ -156,16 +156,20 @@ def _crop_support(mat: np.ndarray) -> np.ndarray:
     return mat[:top, :top]
 
 
-def _evaluate(mat: np.ndarray, bounds, spacing) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    xs, ps = _grid_axes(bounds, spacing)
+def _recentered(mat: np.ndarray) -> tuple[np.ndarray, complex]:
+    """The cropped state to evaluate and its origin's offset mu in phase space:
+    D+ mat D with D = exp(mu a+ - mu* a) of the truncated generator, if shifted."""
     mu = _mean_amplitude(mat)
-    if abs(mu) > RECENTER_THRESHOLD:
-        D = displacement_operator(mu, mat.shape[0] - 1)
-        shifted = _crop_support(D.conj().T @ mat @ D)
-        vals = _wigner_values(shifted, xs - mu.real, ps - mu.imag)
-    else:
-        vals = _wigner_values(_crop_support(mat), xs, ps)
-    return xs, ps, vals
+    if abs(mu) <= RECENTER_THRESHOLD:
+        return _crop_support(mat), 0j
+    a = annihilation(mat.shape[0] - 1).toarray()
+    D = expm(mu * a.conj().T - np.conj(mu) * a)
+    return _crop_support(D.conj().T @ mat @ D), mu
+
+
+def _evaluate(state: np.ndarray, offset: complex, bounds, spacing):
+    xs, ps = _grid_axes(bounds, spacing)
+    return xs, ps, _wigner_values(state, xs - offset.real, ps - offset.imag)
 
 
 def _quad_neg(vals: np.ndarray, spacing: float) -> float:
@@ -177,7 +181,7 @@ def _quad_norm(vals: np.ndarray, spacing: float) -> float:
     return float(np.trapezoid(np.trapezoid(vals, dx=spacing, axis=1), dx=spacing))
 
 
-def _refined_negativity(mat: np.ndarray, bounds, spacing: float,
+def _refined_negativity(state: np.ndarray, offset: complex, bounds, spacing: float,
                         first_vals: np.ndarray, max_levels: int = 3) -> tuple[float, int]:
     """Halve the spacing until the quadrature changes by < 1 percent.
 
@@ -188,7 +192,7 @@ def _refined_negativity(mat: np.ndarray, bounds, spacing: float,
         return prev, 1
     for level in range(2, max_levels + 2):
         spacing /= 2.0
-        _, _, vals = _evaluate(mat, bounds, spacing)
+        _, _, vals = _evaluate(state, offset, bounds, spacing)
         cur = _quad_neg(vals, spacing)
         if abs(cur - prev) <= REFINE_REL_TOL * max(abs(cur), abs(prev)) or (
             abs(cur) < REFINE_ABS_FLOOR and abs(prev) < REFINE_ABS_FLOOR
@@ -224,9 +228,10 @@ def wigner_grid(rho, bounds=None, spacing: float = DEFAULT_SPACING) -> WignerRes
     (x0, x1), (p0, p1) = bounds
     if not (x1 > x0 and p1 > p0):
         raise ConfigError(f"grid bounds {bounds!r} need each upper edge above its lower edge")
-    xs, ps, vals = _evaluate(mat, bounds, spacing)
+    state, offset = _recentered(mat)
+    xs, ps, vals = _evaluate(state, offset, bounds, spacing)
     norm = _quad_norm(vals, spacing)
-    neg, levels = _refined_negativity(mat, bounds, spacing, vals)
+    neg, levels = _refined_negativity(state, offset, bounds, spacing, vals)
     return WignerResult(
         xs=xs, ps=ps, values=vals, negativity=neg, norm=norm, spacing=spacing, levels=levels,
     )

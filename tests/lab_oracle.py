@@ -5,14 +5,20 @@ lab-frame generator, cavity drive included, with scipy's ``solve_ivp``
 (DOP853, rtol 1e-11) at the output cutoff plus 8, so that its own truncation
 and step errors sit well below the tolerances it checks.  It also opens the
 bin at g(t0) = 0 and lets the step controller find the opening by itself.
+
+`displacement_operator` is the other form of D(beta): the matrix exponential
+of the generator truncated to a finite Fock space, independent of the
+Laguerre elements of `hilbert.displacement_block`.  It is exact on the low
+levels of a space padded far past them, and off in the top rows and columns.
 """
 
 from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
-from cwlsim.hilbert import DensityMatrix, displacement_operator, pad_fock, partial_trace
+from cwlsim.hilbert import DensityMatrix, annihilation, pad_fock, partial_trace
 from cwlsim.model import get_generator, resolve_cutoff
 
 PAD = 8
@@ -57,3 +63,9 @@ def undisplace(rho, beta, pad=40):
     dim = rho.shape[0]
     d = displacement_operator(-beta, dim + pad - 1)
     return (d @ pad_fock(rho, dim + pad) @ d.conj().T)[:dim, :dim]
+
+
+def displacement_operator(beta, cutoff):
+    """exp(beta a+ - beta* a) of the generator truncated to Fock levels 0..cutoff."""
+    a = annihilation(cutoff).toarray()
+    return expm(beta * a.conj().T - np.conj(beta) * a)

@@ -4,7 +4,8 @@
 and evaluates all the grid times of a step in one contraction.  The oracle
 takes the same accepted steps, builds the order-7 dense output of the whole
 state, and hands each grid time to a scalar ``collect(t, y)`` that reads the
-populations and the cavity occupation off the full interpolated state.  Both
+populations and the cavity occupation off the full interpolated state; a
+grid time on a step end reads that step's state, as in `propagate`.  Both
 replace their production counterparts through ``monkeypatch``.
 """
 
@@ -64,10 +65,12 @@ def segment(fun, num, t_start, t_end, y0, sample_times, collect, check_times, ch
             raise StepSizeError(solver.t, f"trace drifted by {drift:.2e}")
         interp = None
         while idx < len(sample_times) and sample_times[idx] <= solver.t + 1e-15:
-            if interp is None:
-                interp = full_interpolant(solver)
-            ts = min(max(sample_times[idx], solver.t_old), solver.t)
-            collect(sample_times[idx], interp(ts))
+            if sample_times[idx] >= solver.t:  # on the step end
+                collect(sample_times[idx], solver.y)
+            else:
+                if interp is None:
+                    interp = full_interpolant(solver)
+                collect(sample_times[idx], interp(max(sample_times[idx], solver.t_old)))
             idx += 1
         n_due = bisect.bisect_right(check_times, solver.t + 1e-15)
         if n_due > n_checked:

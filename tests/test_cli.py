@@ -170,17 +170,20 @@ def test_sweep_subcommand(tmp_path):
         "sweep": {"axes": {"tau": [0.4, 2.0]}, "objective": "negativity"},
     }
     cfg = write_config(tmp_path, doc)
-    out = tmp_path / "out"
+    out = tmp_path / 'o,"x'  # the artifact cells hold a comma and a double quote
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
     rows = json.loads((out / "sweep.json").read_text())
     assert len(rows) == 2
     assert rows[0]["objective"] >= rows[1]["objective"]
     assert Path(rows[0]["artifact"]).exists()
     with open(out / "sweep.csv", newline="") as f:
-        table = list(csv.DictReader(f))
+        cells = list(csv.reader(f))
+    assert [len(row) for row in cells] == [len(cells[0])] * 3
+    table = [dict(zip(cells[0], row)) for row in cells[1:]]
     assert list(table[0]) == ["index", "tau", "objective", "N_a", "cutoff", "trace_drift",
                               "n_rhs", "wall_s", "artifact", "error_class"]
     assert all(int(r["n_rhs"]) > 0 and 0 < float(r["wall_s"]) < 60 for r in table)
+    assert [r["artifact"] for r in table] == [r["artifact"] for r in rows]
 
 
 def test_config_error_exit_code(tmp_path):

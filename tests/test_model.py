@@ -260,6 +260,23 @@ def test_generator_superoperators_shared_across_bins():
     assert get_generator(cfg, a, 9).L1 is not ga.L1  # the lab frame is a separate entry
 
 
+def test_superoperators_cached_on_physics_alone():
+    # a propagation that differs only in its numerics reuses the cached
+    # superoperators, and the dimension limit is still checked on every call
+    cut = propagate(METRO_SINGLE_CFG, METRO_SINGLE_BIN).diagnostics.cutoff
+    before = _superoperators.cache_info()
+    num = dataclasses.replace(METRO_SINGLE_CFG.numerics, output_points=2)
+    propagate(dataclasses.replace(METRO_SINGLE_CFG, numerics=num), METRO_SINGLE_BIN)
+    after = _superoperators.cache_info()
+    assert after.misses == before.misses and after.hits >= before.hits + 2
+    dim = METRO_SINGLE_CFG.levels**METRO_SINGLE_CFG.M * (cut + 1)
+    small = dataclasses.replace(METRO_SINGLE_CFG.numerics, dim_limit=dim - 1)
+    with pytest.raises(ConfigError, match="exceeds configured limit"):
+        get_generator(dataclasses.replace(METRO_SINGLE_CFG, numerics=small), METRO_SINGLE_BIN,
+                      cut + 1, displaced=True)
+    assert _superoperators.cache_info().misses == after.misses
+
+
 @pytest.mark.parametrize("cfg, bin", [(METRO_SINGLE_CFG, METRO_SINGLE_BIN),
                                       (SystemConfig(alpha=PARITY_DRIVE, M=2), PARITY_BIN)],
                          ids=["metro_single", "parity2"])

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from lab_oracle import undisplace
+
 from cwlsim.errors import ConfigError
-from cwlsim.hilbert import DensityMatrix, coherent_state, displacement_operator
+from cwlsim.hilbert import DensityMatrix, coherent_state
 from cwlsim.model import BinSpec, SystemConfig, chain_operators, resolve_cutoff
 from cwlsim.shortbin import (EmitterMoments, emitter_moments, shortbin_oracle,
                              shortbin_rho)
@@ -74,6 +76,20 @@ def test_ground_state_gives_pure_coherent():
     assert overlap > 1 - 1e-12
 
 
+def test_ground_state_strong_drive_is_truncated_coherent_state():
+    # the displaced vacuum on a cutoff well below the coherent photon number:
+    # the amplitudes are those of D(b)|0> on levels 0..4, renormalized
+    rho = np.zeros((2, 2), dtype=complex)
+    rho[0, 0] = 1.0
+    mom = emitter_moments(DensityMatrix(rho, (2,)), 1)
+    out = shortbin_rho(mom, alpha=30.0, tau=1e-3, kappa=1.0, M=1, cutoff=4)
+    beta = 30.0 * math.sqrt(1e-3)
+    amps = np.array([math.exp(-beta**2 / 2) * beta**n / math.sqrt(math.factorial(n))
+                     for n in range(5)])
+    target = np.outer(amps, amps) / np.sum(amps**2)
+    assert np.max(np.abs(out.mat - target)) < 1e-12
+
+
 def test_single_emitter_closed_form_entrywise():
     # undisplaced kernel: |0><0| + sqrt(kt)(<s->|1><0| + <s+>|0><1|)
     #                     + kt <s+s-> (|1><1| - |0><0|)
@@ -83,9 +99,7 @@ def test_single_emitter_closed_form_entrywise():
     kt = 1e-3
     out = shortbin_rho(mom, alpha=0.7, tau=kt, kappa=1.0, M=1)
     # undo the displacement to inspect the kernel
-    beta = 0.7 * math.sqrt(kt)
-    d = displacement_operator(beta, out.dim - 1)
-    kern = d.conj().T @ out.mat @ d
+    kern = undisplace(out.mat, 0.7 * math.sqrt(kt))
     s_minus = mom.table[0, 1]
     s_plus = mom.table[1, 0]
     pop = mom.table[1, 1].real
@@ -126,9 +140,7 @@ def test_displaced_support_confined_to_added_photons():
         dm = random_emitter_state(rng, M)
         mom = emitter_moments(dm, M)
         out = shortbin_rho(mom, 0.9, 1e-3, 1.0, M)
-        beta = 0.9 * math.sqrt(1e-3)
-        d = displacement_operator(beta, out.dim - 1)
-        kern = d.conj().T @ out.mat @ d
+        kern = undisplace(out.mat, 0.9 * math.sqrt(1e-3))
         tail = np.abs(np.diag(kern))[M + 1 :].sum()
         assert tail < 1e-10
 
