@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .errors import ConfigError
 from .hilbert import DensityMatrix, displacement_block, fidelity, state_overlap
@@ -58,7 +57,7 @@ def fit_displaced_mixture(rho_v, alpha: complex, tau: float, kappa: float = 1.0,
     tilde = D.conj().T @ mat @ D
     tilde = (tilde + tilde.conj().T) / 2
 
-    vals, vecs = eigh(tilde)
+    vals, vecs = np.linalg.eigh(tilde)
     order = np.argsort(vals)[::-1]
     top = order[:N_COMPONENTS]
     weights = np.clip(vals[top], 0.0, None)

@@ -7,16 +7,21 @@ dimension ``c + 1``.  The displacement D(beta) has one form,
 `displacement_block`: the exact elements <m|D(beta)|n> of the untruncated
 operator on any rows and columns, so a state displaced into a finite space
 loses only the weight it puts above the cutoff.
+
+A Hermitian d x d matrix has d^2 real orthonormal coordinates, the form the
+integrator steps: `hermitian_coords` and `hermitian_matrix` map to and from
+them, `real_form` carries a Hermiticity-preserving superoperator over, and
+`coord_modulus` and `trace_weights` read |rho_ij| and Tr(A rho) off them.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh
 from scipy.special import eval_genlaguerre, gammaln
 
 from .errors import ConfigError
@@ -100,6 +105,119 @@ def displacement_block(beta: complex, rows: int, cols: int) -> np.ndarray:
     phase = np.where(m >= n, np.exp(1j * d * np.angle(beta)),
                      (-1.0) ** d * np.exp(-1j * d * np.angle(beta)))
     return mag * eval_genlaguerre(lo, d, x) * phase
+
+
+@lru_cache(maxsize=32)
+def _coord_indices(d: int):
+    """Flat indices into a d x d matrix: the diagonal, then i*d + j and j*d + i for i < j."""
+    i, j = np.triu_indices(d, 1)
+    out = (np.arange(d) * (d + 1), i * d + j, j * d + i)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def hermitian_coords(rho: np.ndarray) -> np.ndarray:
+    """The real orthonormal coordinates x of a Hermitian d x d matrix, in the
+    layout of vec(rho): x_ii = rho_ii, x_ij = sqrt2 Re rho_ij and
+    x_ji = sqrt2 Im rho_ij for i < j, so that ||x||_2 = ||rho||_F.
+
+    ``rho`` may be the matrix or its row-major vec; only the diagonal and the
+    upper triangle are read.
+    """
+    v = np.asarray(rho).reshape(-1)
+    dg, up, lo = _coord_indices(math.isqrt(v.size))
+    x = np.empty(v.size)
+    x[dg] = v[dg].real
+    x[up] = math.sqrt(2) * v[up].real
+    x[lo] = math.sqrt(2) * v[up].imag
+    return x
+
+
+def hermitian_matrix(x: np.ndarray) -> np.ndarray:
+    """The Hermitian d x d matrix of the coordinates ``x`` of `hermitian_coords`."""
+    d = math.isqrt(x.size)
+    dg, up, lo = _coord_indices(d)
+    v = np.zeros(x.size, dtype=complex)
+    v.real[dg] = x[dg]
+    v.real[up] = v.real[lo] = x[up] / math.sqrt(2)
+    v.imag[up] = x[lo] / math.sqrt(2)
+    v.imag[lo] = -v.imag[up]
+    return v.reshape(d, d)
+
+
+def coord_modulus(x: np.ndarray) -> np.ndarray:
+    """|rho_ij| at each coordinate: sqrt((x_ij^2 + x_ji^2) / 2) at both of a
+    pair, |x_ii| on the diagonal."""
+    d = math.isqrt(x.size)
+    sq = (x * x).reshape(d, d)
+    return np.sqrt((sq + sq.T) / 2).reshape(-1)
+
+
+def trace_weights(A) -> tuple[np.ndarray, np.ndarray]:
+    """``(idx, w)`` with Tr(A rho) = sum w * x[idx] on the coordinates x of a
+    Hermitian rho, for a sparse d x d ``A``.
+
+    Tr(A rho) = sum A[r, c] rho[c, r], and for i = min(r, c) < j = max(r, c),
+    rho[c, r] = (x_ij + i x_ji) / sqrt2 where c < r, (x_ij - i x_ji) / sqrt2
+    where c > r.
+    """
+    A = sp.coo_matrix(A)
+    d = A.shape[0]
+    off = A.row != A.col
+    r, c, a = A.row[off], A.col[off], A.data[off]
+    i, j = np.minimum(r, c), np.maximum(r, c)
+    idx = np.concatenate([A.row[~off] * (d + 1), i * d + j, j * d + i])
+    w = np.concatenate([A.data[~off], a / math.sqrt(2),
+                        np.where(c < r, 1j, -1j) * a / math.sqrt(2)])
+    return idx, w
+
+
+@lru_cache(maxsize=16)
+def _coord_transform(d: int):
+    """(P, P+, s) with T = diag(s) P the unitary map from vec(rho) to the
+    coordinates of a d x d matrix.  Every entry of P is 1 or +-i, so products
+    with P add and negate entries but round none."""
+    dg, up, lo = _coord_indices(d)
+    n = len(up)
+    rows = np.concatenate([dg, up, up, lo, lo])
+    cols = np.concatenate([dg, up, lo, up, lo])
+    vals = np.concatenate([np.ones(d + 2 * n), np.full(n, -1j), np.full(n, 1j)])
+    P = sp.csr_matrix((vals, (rows, cols)), shape=(d * d, d * d))
+    s = np.full(d * d, math.sqrt(0.5))
+    s[dg] = 1.0
+    return P, P.conj().T.tocsr(), s
+
+
+def _real_rows(P, L, Ph, s_rows, s):
+    """Re(diag(s_rows) P L P+ diag(s)) with exact zeros removed: the rows of
+    `real_form` that the rows ``P`` of the transform give."""
+    Q = (P @ L @ Ph).tocsr()
+    R = sp.csr_matrix((Q.data.real.copy(), Q.indices, Q.indptr), shape=Q.shape)
+    R.data *= np.repeat(s_rows, np.diff(R.indptr)) * s[R.indices]
+    R.eliminate_zeros()
+    return R
+
+
+def real_form(L):
+    """T L T^-1, the real matrix on the coordinates of the Hermiticity-
+    preserving superoperator ``L`` (sparse, on the row-major vec(rho)).
+
+    With T^-1 = T+ = P+ diag(s), P L P+ is real up to the rounding of the
+    entries of L; its imaginary part is dropped.  Entries that cancel are
+    exact zeros and are removed.  A large L is done in blocks of rows that
+    meet about 2^15 of its entries each, so that the complex products, with
+    up to twice the entries of L, are never held whole; each row is the same
+    as from the whole product.
+    """
+    P, Ph, s = _coord_transform(math.isqrt(L.shape[0]))
+    L = sp.csr_matrix(L)
+    n = L.shape[0]
+    step = max(1, n * 2**15 // max(L.nnz, 1))
+    if step >= n:
+        return _real_rows(P, L, Ph, s, s)
+    return sp.vstack([_real_rows(P[a:a + step], L, Ph, s[a:a + step], s)
+                      for a in range(0, n, step)], format="csr")
 
 
 def fock_state(n: int, cutoff: int) -> np.ndarray:
@@ -220,8 +338,12 @@ def pad_fock(mat: np.ndarray, new_dim: int) -> np.ndarray:
 
 
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
-    vals, vecs = eigh((mat + mat.conj().T) / 2)
-    vals = np.clip(vals, 0.0, None)
+    """Square root of the PSD part of ``mat``.  Eigenvalues at or below
+    dim * eps * lambda_max are roundoff and count as zero: their square roots,
+    ~1e-8, would otherwise enter the fidelity."""
+    vals, vecs = np.linalg.eigh((mat + mat.conj().T) / 2)
+    floor = mat.shape[0] * np.finfo(float).eps * max(vals[-1], 0.0)
+    vals = np.where(vals > floor, vals, 0.0)
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
@@ -247,5 +369,5 @@ def state_overlap(rho, sigma) -> float:
 
 def trace_distance(rho, sigma) -> float:
     diff = _as_array(rho) - _as_array(sigma)
-    ev = eigh((diff + diff.conj().T) / 2, eigvals_only=True)
+    ev = np.linalg.eigvalsh((diff + diff.conj().T) / 2)
     return float(0.5 * np.sum(np.abs(ev)))

@@ -1,15 +1,18 @@
 """Master-equation propagation over [0, t0 + tau].
 
-Adaptive DOP853 stepping (embedded Runge-Kutta, order 8(5,3)) on the
-vectorized density matrix, split exactly at the generator discontinuities t0
-and t0 + tau, both segments by rtol/atol alone.  The bin runs in the
+Adaptive DOP853 stepping (embedded Runge-Kutta, order 8(5,3)) on the d^2
+real Hermitian coordinates x of the density matrix (`hilbert.hermitian_coords`),
+split exactly at the generator discontinuities t0 and t0 + tau, both segments
+by rtol/atol alone.  The state is Hermitian by construction, and its error
+norm is that of the complex vec(rho): the coordinates are orthonormal and both
+of a pair (Re, Im of rho_ij) are scaled by |rho_ij|.  The bin runs in the
 displaced frame (see `propagate`) and opens at the coupling's right limit:
 at t0 itself the generator is evaluated just after t0, where g = -g_max, so
 the first stage and the starting-step rule see the open bin instead of the
 closed-bin g(t0) = 0.  The output grid records the emitter populations and
 the lab-frame cavity occupation: after each accepted step that passes grid
 times, the solver's dense output is built for the entries those two read
-alone (the diagonal of vec(rho) and, in the bin, the entries of <b'>), and
+alone (the diagonal of rho and, in the bin, the coordinates of <b'>), and
 all the step's grid times before its end are evaluated in one contraction
 (one on the end reads the state); the full state is never interpolated.
 Positivity is checked on accepted step ends: for each of POSITIVITY_SAMPLES
@@ -31,7 +34,8 @@ import numpy as np
 from scipy.integrate._ivp import dop853_coefficients as _dop
 
 from .errors import CutoffConvergenceError, StepSizeError
-from .hilbert import DensityMatrix, displacement_block, partial_trace
+from .hilbert import (DensityMatrix, coord_modulus, displacement_block, hermitian_coords,
+                      hermitian_matrix, partial_trace, trace_weights)
 from .model import (BinSpec, Generator, Numerics, SystemConfig, check_dim, frame_amplitude,
                     get_generator, resolve_cutoff)
 
@@ -62,7 +66,7 @@ class Diagnostics:
     cutoff_check: float  # |population| of the top cavity level at ``cutoff``
     output_leak: float  # lab-frame weight above the output space, dropped from rho_v
     n_steps: int  # accepted steps
-    n_rhs: int  # Generator.apply_vec calls
+    n_rhs: int  # Generator.rhs calls
     n_rhs_pre: int  # of which in the emitter-only segment before t0
     n_rhs_bin: int  # of which in the bin [t0, t0 + tau]
     pre_bin_s: float  # wall time of the segment before t0
@@ -71,7 +75,7 @@ class Diagnostics:
     h_min: float  # smallest accepted step, steps cut short at a segment end excepted
     trace_drift_max: float
     positivity_min: float  # smallest eigenvalue of the step-end samples, pre-bin and last attempt
-    hermiticity_max: float
+    hermiticity_max: float  # of the final state; 0 by construction on Hermitian coordinates
 
 
 @dataclass
@@ -97,7 +101,7 @@ class Trajectory:
 
 
 def _stage_sum(coef: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """sum_j coef[j] rows[j] with a real ``coef``, on float64 views.
+    """sum_j coef[j] rows[j].
 
     ``np.einsum`` without ``optimize`` never calls BLAS, so the sum is the same
     bit for bit at any BLAS thread count.
@@ -106,12 +110,14 @@ def _stage_sum(coef: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 class _Dop853:
-    """Adaptive DOP853 8(5,3) stepper on a complex state vector.
+    """Adaptive DOP853 8(5,3) stepper on the Hermitian coordinates of a state.
 
     Hairer, Norsett & Wanner, *Solving ODEs I*, Sec. II.10, with scipy's
-    tableau, step controller and initial-step rule.  Every stage sum, error
-    norm and dense-output combination runs on the float64 view of the stage
-    array (the coefficients are real), so no step goes through BLAS.
+    tableau, step controller and initial-step rule.  The error scale at each
+    coordinate is atol + rtol |rho_ij| (`hilbert.coord_modulus`), so the weighted RMS
+    norm is the one scipy takes of the complex vec(rho).  Every stage sum,
+    error norm and dense-output combination is an ``np.einsum`` without
+    ``optimize``, so no step goes through BLAS.
     """
 
     def __init__(self, fun, t: float, y: np.ndarray, t_bound: float,
@@ -120,8 +126,8 @@ class _Dop853:
         self.rtol, self.atol = rtol, atol
         self.n_rhs = 0
         self.n_rejected = 0
-        self.K = np.empty((_dop.N_STAGES_EXTENDED, y.size), dtype=complex)
-        self.Kf = self.K.view(np.float64)
+        self.K = np.empty((_dop.N_STAGES_EXTENDED, y.size))
+        self.y_mod = coord_modulus(y)
         self.f = self._rhs(t, y)
         self.h_abs = self._initial_step()
         self.t_old = self.y_old = self.f_old = self.h = None
@@ -131,14 +137,14 @@ class _Dop853:
         return self.fun(t, y)
 
     def _rms(self, x: np.ndarray, scale: np.ndarray) -> float:
-        xs = x.view(np.float64).reshape(-1, 2) / scale[:, None]
-        return math.sqrt(np.einsum("ij,ij->", xs, xs) / scale.size)
+        xs = x / scale
+        return math.sqrt(np.einsum("k,k->", xs, xs) / scale.size)
 
     def _initial_step(self) -> float:
         """Hairer's starting-step rule for an error estimator of order 7."""
         t, y, f0 = self.t, self.y, self.f
         span = self.t_bound - t
-        scale = self.atol + np.abs(y) * self.rtol
+        scale = self.atol + self.y_mod * self.rtol
         d0, d1 = self._rms(y, scale), self._rms(f0, scale)
         h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
         h0 = min(h0, span)
@@ -150,26 +156,24 @@ class _Dop853:
             h1 = (0.01 / max(d1, d2)) ** (1 / (ERROR_ORDER + 1))
         return min(100 * h0, h1, span)
 
-    def _stage(self, s: int, t: float, yf: np.ndarray, h: float) -> None:
-        ys = yf + _stage_sum(h * _A[s, :s], self.Kf[:s])
-        self.K[s] = self._rhs(t + _C[s] * h, ys.view(complex))
+    def _stage(self, s: int, t: float, y: np.ndarray, h: float) -> None:
+        self.K[s] = self._rhs(t + _C[s] * h, y + _stage_sum(h * _A[s, :s], self.K[:s]))
 
-    def _error_norm(self, h: float, y_new: np.ndarray) -> float:
-        scale = self.atol + np.maximum(np.abs(self.y), np.abs(y_new)) * self.rtol
-        err = np.einsum("ej,jk->ek", _E, self.Kf[:_N + 1]).reshape(2, -1, 2)
-        err /= scale[:, None]
-        e5, e3 = np.einsum("eki,eki->e", err, err)
+    def _error_norm(self, h: float, mod_new: np.ndarray) -> float:
+        scale = self.atol + np.maximum(self.y_mod, mod_new) * self.rtol
+        err = np.einsum("ej,jk->ek", _E, self.K[:_N + 1])
+        err /= scale
+        e5, e3 = np.einsum("ek,ek->e", err, err)
         if e5 == 0 and e3 == 0:
             return 0.0
         return h * e5 / math.sqrt((e5 + 0.01 * e3) * scale.size)
 
     def _rk_step(self, t: float, y: np.ndarray, f: np.ndarray, h: float) -> np.ndarray:
         """The 8th-order solution at t + h; fills stage rows 0.._N-1."""
-        yf = y.view(np.float64)
         self.K[0] = f
         for s in range(1, _N):
-            self._stage(s, t, yf, h)
-        return (yf + _stage_sum(h * _B, self.Kf[:_N])).view(complex)
+            self._stage(s, t, y, h)
+        return y + _stage_sum(h * _B, self.K[:_N])
 
     def step(self) -> None:
         """Take one accepted step; raise StepSizeError when h underflows."""
@@ -185,7 +189,8 @@ class _Dop853:
             y_new = self._rk_step(t, y, self.f, h)
             f_new = self._rhs(t_new, y_new)
             self.K[_N] = f_new
-            err = self._error_norm(h, y_new)
+            mod_new = coord_modulus(y_new)
+            err = self._error_norm(h, mod_new)
             if err < 1:
                 break
             h_abs = h * max(MIN_FACTOR, SAFETY * err**ERROR_EXPONENT)
@@ -196,7 +201,7 @@ class _Dop853:
             factor = min(1.0, factor)
         self.h_abs = h * factor
         self.t_old, self.y_old, self.f_old, self.h = t, y, self.f, h
-        self.t, self.y, self.f = t_new, y_new, f_new
+        self.t, self.y, self.f, self.y_mod = t_new, y_new, f_new, mod_new
 
     def dense_output(self, keep: np.ndarray):
         """Order-7 interpolant of the entries ``keep`` of y over the last accepted
@@ -207,21 +212,20 @@ class _Dop853:
         """
         t_old, h = self.t_old, self.h
         for s in range(_N + 1, _dop.N_STAGES_EXTENDED):
-            self._stage(s, t_old, self.y_old.view(np.float64), h)
-        y_old = self.y_old[keep].view(np.float64)
-        f_old = self.f_old[keep].view(np.float64)
-        dy = self.y[keep].view(np.float64) - y_old
+            self._stage(s, t_old, self.y_old, h)
+        y_old, f_old = self.y_old[keep], self.f_old[keep]
+        dy = self.y[keep] - y_old
         F = np.empty((_dop.INTERPOLATOR_POWER, dy.size))
         F[0] = dy
         F[1] = h * f_old - dy
-        F[2] = 2 * dy - h * (self.f[keep].view(np.float64) + f_old)
-        F[3:] = np.einsum("ij,jk->ik", h * _D, self.K.take(keep, axis=1).view(np.float64))
+        F[2] = 2 * dy - h * (self.f[keep] + f_old)
+        F[3:] = np.einsum("ij,jk->ik", h * _D, self.K.take(keep, axis=1))
 
         def interp(ts: np.ndarray) -> np.ndarray:
             x = (ts - t_old) / h
             # x, x(1-x), x^2(1-x), ..., x^4(1-x)^3: scipy's nested product
             weights = np.cumprod(np.stack([x, 1 - x] * 3 + [x], axis=1), axis=1)
-            return (y_old + np.einsum("sj,jk->sk", weights, F)).view(complex)
+            return y_old + np.einsum("sj,jk->sk", weights, F)
 
         return interp
 
@@ -255,7 +259,7 @@ def _integrate_segment(fun, num: Numerics, t_start: float, t_end: float, y0: np.
     n_steps = 0
     n_checked = 0
     dim = math.isqrt(y0.size)
-    diag_idx = np.arange(dim) * (dim + 1)  # diagonal of vec(rho)
+    diag_idx = np.arange(dim) * (dim + 1)  # diagonal of rho
     while solver.t < t_end:
         solver.step()
         n_steps += 1
@@ -294,33 +298,33 @@ def _opened_at(gen: Generator, t0: float):
     bin, and the controller then rejects it about twenty times.
     """
     t_open = float(np.nextafter(t0, np.inf))
-    return lambda t, y: gen.apply_vec(max(t, t_open), y)
+    return lambda t, y: gen.rhs(max(t, t_open), y)
 
 
 def _collector(grid: np.ndarray, pops: np.ndarray, cav: np.ndarray, gen: Generator,
                levels: int, frame=None):
-    """``(keep, collect)`` for `_integrate_segment`: the entries of vec(rho)
+    """``(keep, collect)`` for `_integrate_segment`: the Hermitian coordinates
     the output grid reads, and ``collect(ts, yk)``, which writes the emitter
     populations at the grid points of the times ``ts`` into ``pops`` from the
-    rows ``yk`` of those entries.  Given the frame amplitude ``frame(t)`` it
-    also puts the lab-frame cavity occupation n' + 2 Re(beta* <b'>) + |beta|^2
+    rows ``yk`` of those coordinates.  Given the frame amplitude ``frame(t)``
+    it also puts the lab-frame cavity occupation n' + 2 Re(beta* <b'>) + |beta|^2
     into ``cav``, from the in-frame <b'+ b'> and <b'>.  Every contraction is an
     ``np.einsum`` without ``optimize``, so none calls BLAS."""
     d = gen.dim
     pop_diags = np.real([p.diagonal() for p in gen.ops["pops"]]).reshape(-1, d)
     cav_diag = np.tile(np.arange(d // levels, dtype=float), levels)
-    keep = np.arange(d) * (d + 1)  # diagonal of vec(rho)
+    keep = np.arange(d) * (d + 1)  # diagonal of rho
     if frame is not None:
-        b = gen.ops["b"].tocoo()
-        keep = np.concatenate([keep, b.col * d + b.row])  # Tr(b rho) = sum b[r, c] rho[c, r]
+        b_idx, b_weights = trace_weights(gen.ops["b"])
+        keep = np.concatenate([keep, b_idx])
 
     def collect(ts, yk):
         i = np.minimum(np.searchsorted(grid, ts - 1e-15), len(grid) - 1)
-        diag = yk[:, :d].real
+        diag = yk[:, :d]
         pops[i] = np.einsum("sd,kd->sk", diag, pop_diags)
         if frame is not None:
             beta = np.array([frame(t) for t in ts])
-            b_mean = np.einsum("sk,k->s", yk[:, d:], b.data)
+            b_mean = np.einsum("sk,k->s", yk[:, d:], b_weights)
             cav[i] = (np.einsum("sd,d->s", diag, cav_diag)
                       + 2 * (np.conj(beta) * b_mean).real + np.abs(beta) ** 2)
     return keep, collect
@@ -356,18 +360,18 @@ def propagate(cfg: SystemConfig, bin: BinSpec, *, verify_cutoff: bool = False) -
     counters = _Counters()
 
     gen_e = get_generator(cfg, bin, 1)
-    y = np.zeros(levels * levels, dtype=complex)
-    y[0] = 1.0
+    y = np.zeros(levels * levels)
+    y[0] = 1.0  # all emitters in G
     pre_checks: list[np.ndarray] = []
     t_wall = time.perf_counter()
     y = _integrate_segment(
-        gen_e.apply_vec, num, 0.0, bin.t0, y, grid[grid <= bin.t0],
+        gen_e.rhs, num, 0.0, bin.t0, y, grid[grid <= bin.t0],
         _collector(grid, pops, cav, gen_e, levels),
         [t for t in check_times if t <= bin.t0], pre_checks, counters,
     )
     counters.pre_bin_s = time.perf_counter() - t_wall
     counters.n_rhs_pre = counters.n_rhs
-    rho_e = y.reshape(levels, levels)
+    rho_e = hermitian_matrix(y)
 
     frame = functools.partial(frame_amplitude, cfg, bin)
     top_tol = TOP_LEVEL_ATOL_FRAC * num.atol
@@ -379,14 +383,15 @@ def propagate(cfg: SystemConfig, bin: BinSpec, *, verify_cutoff: bool = False) -
         gen = get_generator(cfg, bin, cut + 1, displaced=True)
         vac = np.zeros((cut + 1, cut + 1), dtype=complex)
         vac[0, 0] = 1.0
+        y_t0 = hermitian_coords(np.kron(rho_e, vac))
         bin_checks: list[np.ndarray] = []
         y = _integrate_segment(
-            _opened_at(gen, bin.t0), num, bin.t0, bin.t_end, np.kron(rho_e, vac).reshape(-1),
+            _opened_at(gen, bin.t0), num, bin.t0, bin.t_end, y_t0,
             grid[grid > bin.t0], _collector(grid, pops, cav, gen, levels, frame),
             [t for t in check_times if t > bin.t0], bin_checks, counters,
         )
         bin_runs += 1
-        p = np.real(y[:: gen.dim + 1]).reshape(levels, cut + 1).sum(axis=0)
+        p = y[:: gen.dim + 1].reshape(levels, cut + 1).sum(axis=0)
         if abs(p[-1]) <= top_tol:
             break
         if cut >= cut_max:
@@ -397,9 +402,8 @@ def propagate(cfg: SystemConfig, bin: BinSpec, *, verify_cutoff: bool = False) -
         cut = min(2 * cut, cut_max)
     counters.bin_s = time.perf_counter() - t_wall
 
-    rho_end = y.reshape(gen.dim, gen.dim)
+    rho_end = hermitian_matrix(y)
     herm_max = float(np.max(np.abs(rho_end - rho_end.conj().T)))
-    rho_end = (rho_end + rho_end.conj().T) / 2
     dims = tuple([cfg.levels] * cfg.M + [cut + 1])
     rho_d = partial_trace(DensityMatrix(rho_end, dims, positivity_tol=1e-7), cfg.M).mat
     D = displacement_block(frame(bin.t_end), out_dim, cut + 1)
@@ -417,9 +421,7 @@ def propagate(cfg: SystemConfig, bin: BinSpec, *, verify_cutoff: bool = False) -
     # BLAS threads, scipy's eigh stalled for ~50 ms a call on these states
     pos_min = 0.0
     for ys in pre_checks + bin_checks:
-        d = int(round(math.sqrt(ys.size)))
-        m = ys.reshape(d, d)
-        pos_min = min(pos_min, float(np.min(np.linalg.eigvalsh((m + m.conj().T) / 2))))
+        pos_min = min(pos_min, float(np.min(np.linalg.eigvalsh(hermitian_matrix(ys)))))
 
     vac = np.zeros((out_dim, out_dim), dtype=complex)
     vac[0, 0] = 1.0
@@ -432,9 +434,7 @@ def propagate(cfg: SystemConfig, bin: BinSpec, *, verify_cutoff: bool = False) -
         populations=pops,
         cavity_occupation=cav,
         rho_v=DensityMatrix(lab, positivity_tol=1e-7),
-        rho_bin_start=DensityMatrix(
-            (rho_t0 + rho_t0.conj().T) / 2, tuple([cfg.levels] * cfg.M + [out_dim]),
-            positivity_tol=1e-7,
-        ),
+        rho_bin_start=DensityMatrix(rho_t0, tuple([cfg.levels] * cfg.M + [out_dim]),
+                                    positivity_tol=1e-7),
         diagnostics=diag,
     )

@@ -64,7 +64,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .errors import ConfigError, CutoffConvergenceError
 from .hilbert import DensityMatrix, pad_fock
@@ -323,7 +322,7 @@ def crb(rho_v, N_b: float) -> float:
     A = beta * (ad - a) / 2j
     G2 = -(N_b * (ad @ ad + a @ a) - (N_b + 1) * ad @ a - N_b * a @ ad) / 4
 
-    vals, vecs = eigh(mat)
+    vals, vecs = np.linalg.eigh(mat)
     vals = np.clip(vals, 0.0, None)
     amat = vecs.conj().T @ A @ vecs
     lam_i = vals[:, None]

@@ -16,7 +16,9 @@ rate.  Both are linear in the real cavity coupling g(t) of the flat capture
 mode, which is the Liouvillian's only time dependence.  `build_hamiltonian`,
 `build_jump_operators` and `Generator` all derive from that one source; the
 generator expands it into the superoperator polynomial L0 + g L1 + g^2 L2,
-cached per (physics, cavity dimension, frame): only g(t) reads the bin.
+cached per (physics, cavity dimension, frame): only g(t) reads the bin.  It
+keeps the polynomial in the real form that acts on the Hermitian coordinates
+of `hilbert.hermitian_coords`, stacked as one real matrix [R0 | R1 | R2].
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError
-from .hilbert import annihilation, identity, tensor
+from .hilbert import (annihilation, hermitian_coords, hermitian_matrix, identity, real_form,
+                      tensor)
 
 G_MAX_DEFAULT = 1.0e3  # clamp on |g| in units sqrt(kappa)
 
@@ -348,28 +351,36 @@ def _commutator_super(H):
 
 @lru_cache(maxsize=16)
 def _superoperators(cfg: SystemConfig, cav_dim: int, displaced: bool):
-    """(L0, L1, L2, ops) of `Generator`; cached without the bin, which enters only via g(t)."""
+    """(L, ops) of `Generator`, L = [R0 | R1 | R2] the real form of L0, L1, L2;
+    cached without the bin, which enters only via g(t)."""
     H0, H1, channels, ops = _model_parts(cfg, cav_dim, displaced)
-    # terms are summed as they are built, so only one is held at a time
+    # terms are summed as they are built, and each of L0, L1, L2 is put in real
+    # form before the next is built, so only one complex term is held at a time
     live = [(rate, A, B) for rate, A, B in channels if rate != 0]
     coupled = [(rate, A, B) for rate, A, B in live if B is not None]
-    L0 = reduce(operator.add, (r * _dissipator_super(A) for r, A, _ in live),
-                _commutator_super(H0)).tocsr()
-    L1 = reduce(operator.add, (r * _cross_super(A, B) for r, A, B in coupled),
-                _commutator_super(H1)).tocsr()
-    L2 = reduce(operator.add, (r * _dissipator_super(B) for r, _, B in coupled)).tocsr()
-    return L0, L1, L2, ops
+    polynomial = (
+        lambda: reduce(operator.add, (r * _dissipator_super(A) for r, A, _ in live),
+                       _commutator_super(H0)),
+        lambda: reduce(operator.add, (r * _cross_super(A, B) for r, A, B in coupled),
+                       _commutator_super(H1)),
+        lambda: reduce(operator.add, (r * _dissipator_super(B) for r, _, B in coupled)),
+    )
+    L = sp.hstack([real_form(term()) for term in polynomial], format="csr")
+    return L, ops
 
 
 class Generator:
-    """Liouvillian L(t) = L0 + g(t) L1 + g(t)^2 L2 of one bin, acting on vec(rho).
+    """Liouvillian L(t) = L0 + g(t) L1 + g(t)^2 L2 of one bin.
 
     Expanding sum_r r D[A + g B] over the channels of `_model_parts`:
       L0 = -i[H0, .] + sum r D[A],
       L1 = -i[H1, .] + sum r (A . B+ + B . A+ - {A+ B + B+ A, .}/2),
       L2 = sum r D[B].
-    Channels at rate zero are skipped.  The superoperators are shared by
-    every bin of the same config, cavity dimension and frame.
+    Channels at rate zero are skipped.  ``L`` holds the three in real form,
+    [R0 | R1 | R2] with Rk = T Lk T^-1 on the Hermitian coordinates x of
+    `hilbert.hermitian_coords`, so that `rhs` is one real mat-vec; ``L0``,
+    ``L1`` and ``L2`` read its blocks.  The stack is shared by every bin of the
+    same config, cavity dimension and frame.
     """
 
     def __init__(self, cfg: SystemConfig, bin: BinSpec, cav_dim: int, displaced: bool):
@@ -377,18 +388,28 @@ class Generator:
         self.bin = bin
         check_dim(cfg, cav_dim)
         physics = dataclasses.replace(cfg, numerics=Numerics(), cavity_cutoff=None)  # cache key
-        self.L0, self.L1, self.L2, self.ops = _superoperators(physics, cav_dim, displaced)
+        self.L, self.ops = _superoperators(physics, cav_dim, displaced)
         self.dim = self.ops["dim"]
+
+    def _block(self, k: int):
+        n = self.dim**2
+        return self.L[:, k * n:(k + 1) * n]
+
+    L0 = property(lambda self: self._block(0))
+    L1 = property(lambda self: self._block(1))
+    L2 = property(lambda self: self._block(2))
 
     def g(self, t: float) -> float:
         return mode_gv(self.bin, t, self.cfg.kappa).real
 
-    def apply_vec(self, t: float, y: np.ndarray) -> np.ndarray:
+    def rhs(self, t: float, x: np.ndarray) -> np.ndarray:
+        """d x/dt on the Hermitian coordinates: (R0 + g R1 + g^2 R2) x in one product."""
         g = self.g(t)
-        out = self.L0 @ y
-        if g != 0.0:
-            out = out + g * (self.L1 @ y) + (g * g) * (self.L2 @ y)
-        return out
+        return self.L @ np.concatenate((x, g * x, (g * g) * x))
+
+    def apply_vec(self, t: float, y: np.ndarray) -> np.ndarray:
+        """L(t) vec(rho) for the row-major vec of a Hermitian rho."""
+        return hermitian_matrix(self.rhs(t, hermitian_coords(y))).reshape(-1)
 
 
 def get_generator(cfg: SystemConfig, bin: BinSpec, cav_dim: int | None = None,

@@ -55,10 +55,19 @@ def _cell(cell) -> str:
     return text
 
 
+def _line(row) -> str:
+    """One CSV row; a row of finite floats (numpy float64 included) takes
+    ``float.__repr__``, one C-level call per cell, and any other row `_cell`."""
+    try:
+        text = ",".join(map(float.__repr__, row))
+    except TypeError:  # a cell that is not a float
+        return ",".join(map(_cell, row))
+    return ",".join(map(_cell, row)) if "n" in text else text  # nan, inf
+
+
 def write_csv(path, header: list, rows) -> None:
     lines = [",".join(map(_cell, header))]
-    for row in rows:
-        lines.append(",".join(map(_cell, row)))
+    lines.extend(map(_line, rows))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 

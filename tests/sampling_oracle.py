@@ -1,11 +1,12 @@
 """Full-state output-grid oracle for `integrator._integrate_segment`.
 
-`propagate` interpolates only the entries of vec(rho) its output grid reads
-and evaluates all the grid times of a step in one contraction.  The oracle
-takes the same accepted steps, builds the order-7 dense output of the whole
-state, and hands each grid time to a scalar ``collect(t, y)`` that reads the
-populations and the cavity occupation off the full interpolated state; a
-grid time on a step end reads that step's state, as in `propagate`.  Both
+`propagate` interpolates only the Hermitian coordinates its output grid
+reads and evaluates all the grid times of a step in one contraction.  The
+oracle takes the same accepted steps, builds the order-7 dense output of the
+whole state, and hands each grid time to a scalar ``collect(t, y)`` that
+reads the populations and the cavity occupation off the full interpolated
+density matrix; a grid time on a step end reads that step's state, as in
+`propagate`.  Both
 replace their production counterparts through ``monkeypatch``.
 """
 
@@ -17,26 +18,25 @@ from scipy.integrate._ivp import dop853_coefficients as _dop
 
 from cwlsim import integrator
 from cwlsim.errors import StepSizeError
+from cwlsim.hilbert import hermitian_matrix
 
 
 def full_interpolant(solver):
     """``interp(t)``: the dense output of the whole state over the last step."""
-    t_old, h, Kf = solver.t_old, solver.h, solver.Kf
-    yf_old = solver.y_old.view(np.float64)
+    t_old, h, y_old, f_old = solver.t_old, solver.h, solver.y_old, solver.f_old
     for s in range(integrator._N + 1, _dop.N_STAGES_EXTENDED):
-        solver._stage(s, t_old, yf_old, h)
-    f_old = solver.f_old.view(np.float64)
-    dy = solver.y.view(np.float64) - yf_old
+        solver._stage(s, t_old, y_old, h)
+    dy = solver.y - y_old
     F = np.empty((_dop.INTERPOLATOR_POWER, dy.size))
     F[0] = dy
     F[1] = h * f_old - dy
-    F[2] = 2 * dy - h * (solver.f.view(np.float64) + f_old)
-    F[3:] = np.einsum("ij,jk->ik", h * integrator._D, Kf)
+    F[2] = 2 * dy - h * (solver.f + f_old)
+    F[3:] = np.einsum("ij,jk->ik", h * integrator._D, solver.K)
 
     def interp(t):
         x = (t - t_old) / h
         weights = np.cumprod([x, 1 - x] * 3 + [x])
-        return (yf_old + np.einsum("j,jk->k", weights, F)).view(complex)
+        return y_old + np.einsum("j,jk->k", weights, F)
 
     return interp
 
@@ -86,15 +86,17 @@ def segment(fun, num, t_start, t_end, y0, sample_times, collect, check_times, ch
 
 
 def collector(grid, pops, cav, gen, levels, frame=None):
-    """Scalar ``collect(t, y)`` on the full vec(rho) ``y``, as `integrator._collector` writes."""
+    """Scalar ``collect(t, x)`` on the full Hermitian coordinates ``x``, as
+    `integrator._collector` writes; it reads the density matrix they give."""
     d = gen.dim
     pop_diags = [np.real(p.diagonal()) for p in gen.ops["pops"]]
     cav_diag = np.tile(np.arange(d // levels, dtype=float), levels)
     b = gen.ops["b"].tocoo()
     b_at = b.col * d + b.row  # Tr(b rho) = sum b[r, c] rho[c, r]
 
-    def collect(t, y):
+    def collect(t, x):
         i = min(int(np.searchsorted(grid, t - 1e-15)), len(grid) - 1)
+        y = hermitian_matrix(x).reshape(-1)
         diag = np.real(y.reshape(d, d).diagonal())
         for k, pd in enumerate(pop_diags):
             pops[i, k] = float(np.sum(diag * pd))

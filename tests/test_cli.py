@@ -313,6 +313,34 @@ def test_float_text_is_shortest_and_bit_exact(tmp_path):
     assert np.array_equal(np.array([float(c[0]) for c in cells]).view(np.uint64), want)
 
 
+def _reference_cell(cell) -> str:
+    """One CSV cell as the format specifies it, written out cell by cell: a
+    float's repr with the NaN/Infinity tokens, other cells as text, quoted per
+    RFC 4180 when they hold a comma, double quote, CR or LF."""
+    if isinstance(cell, (float, np.floating)):
+        text = repr(float(cell))
+        return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(text, text)
+    text = str(cell)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def test_csv_float_rows_match_cell_by_cell_format(tmp_path):
+    # rows of floats take float.__repr__ in one pass; every row must come out
+    # byte for byte as the cell-by-cell format writes it
+    header = ["x", "p,q", 'W "w"']
+    rows = [[0.0, -0.0, 1e16], [1e-5, 1e-4, -1e22], [math.nan, 1.0, 2.0],
+            [math.inf, -math.inf, 0.1], [np.float64(0.1), np.float64(-0.0), np.float64(1e16)],
+            [np.float64(math.nan), np.float64(-math.inf), np.float64(5e-324)],
+            [np.float32(0.05), 3, True], ["a,b", 'say "hi"', "line\nbreak"],
+            [np.int64(7), None, 2.5], [1.5, "text", 1e-5]]
+    path = tmp_path / "rows.csv"
+    write_csv(path, header, rows)
+    want = "".join(",".join(map(_reference_cell, r)) + "\n" for r in [header] + rows)
+    assert path.read_bytes() == want.encode("utf-8")
+
+
 def test_sweep_error_with_comma_keeps_csv_rows(tmp_path):
     # the tau = 18 point fails with a message that holds a comma; sweep.csv
     # records the error class, sweep.json the whole message

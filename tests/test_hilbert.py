@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,8 +11,12 @@ from lab_oracle import displacement_operator
 from cwlsim.errors import ConfigError
 from cwlsim.hilbert import (DensityMatrix, annihilation, coherent_state,
                             displacement_block, fidelity, fock_state,
+                            hermitian_coords, hermitian_matrix,
                             partial_trace, pure_density, tensor,
-                            trace_distance)
+                            trace_distance, trace_weights)
+from cwlsim.integrator import propagate
+from cwlsim.model import SystemConfig
+from cwlsim.presets import DRIVE_SERIES
 
 
 def random_density(rng, dim, dims=None):
@@ -189,3 +194,37 @@ def test_fidelity_and_trace_distance_basics():
     f = fidelity(dm, other)
     assert abs(f - abs(np.vdot(psi, fock_state(0, 15))) ** 2) < 1e-10
     assert trace_distance(dm, dm) < 1e-12
+
+
+@pytest.mark.parametrize("alpha, b", DRIVE_SERIES, ids=[f"drive{a}" for a, _ in DRIVE_SERIES])
+def test_fidelity_with_pure_state_is_overlap(alpha, b):
+    # F(rho, |beta><beta|) = <beta|rho|beta>: the roundoff eigenvalues of the
+    # rank-1 state count as zero, so their ~1e-8 square roots do not enter
+    cfg = SystemConfig(alpha=alpha, M=1)
+    rho = propagate(cfg, b).rho_v
+    psi = coherent_state(cfg.alpha_phys * math.sqrt(b.tau), rho.dim - 1)
+    overlap = float(np.real(psi.conj() @ rho.mat @ psi))
+    assert abs(fidelity(rho, pure_density(psi)) - overlap) <= 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 10_000))
+def test_hermitian_coords_round_trip(dim, seed):
+    # the coordinates are orthonormal: ||x||_2 = ||rho||_F.  The sqrt2 scaling
+    # of the off-diagonal ones rounds, and a * sqrt2 is not one-to-one in
+    # doubles, so the round trip is exact up to one ulp per entry
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = (m + m.conj().T) / 2  # Hermitian bit for bit
+    x = hermitian_coords(rho)
+    assert x.dtype == np.float64 and x.shape == (dim * dim,)
+    assert np.array_equal(x[:: dim + 1], rho.diagonal().real)
+    assert abs(np.linalg.norm(x) - np.linalg.norm(rho)) <= 1e-15 * np.linalg.norm(rho)
+    back = hermitian_matrix(x)
+    assert np.array_equal(back, back.conj().T)
+    np.testing.assert_array_max_ulp(back.real, rho.real, maxulp=1)
+    np.testing.assert_array_max_ulp(back.imag, rho.imag, maxulp=1)
+    np.testing.assert_array_max_ulp(hermitian_coords(back), x, maxulp=1)
+    A = sp.random(dim, dim, density=0.5, random_state=seed, dtype=complex)
+    idx, w = trace_weights(A)
+    assert abs(np.sum(w * x[idx]) - np.trace(A @ rho)) <= 1e-14 * max(1.0, np.abs(A).sum())

@@ -255,9 +255,9 @@ def test_generator_superoperators_shared_across_bins():
     cfg = SystemConfig(alpha=0.5, M=1)
     a, b = BinSpec(t0=1.0, tau=2.0), BinSpec(t0=3.0, tau=0.5)
     ga, gb = get_generator(cfg, a, 9, displaced=True), get_generator(cfg, b, 9, displaced=True)
-    assert ga.L0 is gb.L0 and ga.L1 is gb.L1 and ga.L2 is gb.L2 and ga.ops is gb.ops
+    assert ga.L is gb.L and ga.ops is gb.ops  # the stacked real form [R0 | R1 | R2]
     assert ga.g(2.0) == mode_gv(a, 2.0).real and gb.g(2.0) == 0.0  # each bin keeps its g(t)
-    assert get_generator(cfg, a, 9).L1 is not ga.L1  # the lab frame is a separate entry
+    assert get_generator(cfg, a, 9).L is not ga.L  # the lab frame is a separate entry
 
 
 def test_superoperators_cached_on_physics_alone():
