@@ -9,7 +9,7 @@ and omitted keys keep the dataclass default; `main` builds every section but
 subcommand but `sweep` propagates once and hands the trajectory to its
 ``cmd_*`` function.  Every numerical subcommand writes its outputs plus a run
 manifest (config snapshot, version, wall time, convergence diagnostics, file
-list) into the output directory.
+list, per-phase wall times) into the output directory.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical failure.
 """
@@ -22,6 +22,7 @@ import json
 import math
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import get_args, get_type_hints
@@ -163,10 +164,22 @@ class Manifest:
             "subcommand": subcommand,
             "config": snapshot,
             "wall_time_s": None,
+            "timings": {},
             "diagnostics": {},
             "outputs": [],
         }
         self._t0 = time.time()
+
+    @contextmanager
+    def timed(self, phase: str):
+        """Add the wall time of the ``with`` body to ``timings[phase]``: one of
+        ``propagate``, ``reduce`` (the state's figures of merit: fidelity,
+        partial trace and moments, the ansatz fit), ``wigner``, ``metrology``,
+        ``sweep`` and ``write`` (every output file but the manifest)."""
+        t0 = time.perf_counter()
+        yield
+        timings = self.doc["timings"]
+        timings[phase] = timings.get(phase, 0.0) + time.perf_counter() - t0
 
     def add_output(self, path):
         self.doc["outputs"].append(str(path))
@@ -186,52 +199,59 @@ class Manifest:
 
 
 def cmd_simulate(traj, cfg, bin, grid, spec, man, out):
-    rows = []
-    for i, t in enumerate(traj.times):
-        rows.append([t] + [traj.populations[i, k] for k in range(cfg.M)]
-                    + [traj.cavity_occupation[i]])
-    header = ["t"] + [f"pop_{k+1}" for k in range(cfg.M)] + ["cavity_n"]
-    write_csv(out / "trajectory.csv", header, rows)
-    man.add_output(out / "trajectory.csv")
-    write_density_matrix(traj.rho_v, out / "rho_v.json")
-    man.add_output(out / "rho_v.json")
-    beta = cfg.alpha_phys * math.sqrt(bin.tau)
-    f_coh = fidelity(traj.rho_v, pure_density(coherent_state(beta, traj.rho_v.dim - 1)))
+    with man.timed("write"):
+        rows = []
+        for i, t in enumerate(traj.times):
+            rows.append([t] + [traj.populations[i, k] for k in range(cfg.M)]
+                        + [traj.cavity_occupation[i]])
+        header = ["t"] + [f"pop_{k+1}" for k in range(cfg.M)] + ["cavity_n"]
+        write_csv(out / "trajectory.csv", header, rows)
+        man.add_output(out / "trajectory.csv")
+        write_density_matrix(traj.rho_v, out / "rho_v.json")
+        man.add_output(out / "rho_v.json")
+    with man.timed("reduce"):
+        beta = cfg.alpha_phys * math.sqrt(bin.tau)
+        f_coh = fidelity(traj.rho_v, pure_density(coherent_state(beta, traj.rho_v.dim - 1)))
     man.diag(coherent_fidelity=f_coh)
 
 
 def cmd_wigner(traj, cfg, bin, grid, spec, man, out):
-    w = wigner_grid(traj.rho_v, bounds=grid.bounds, spacing=grid.spacing)
-    rows = []
-    for ip, p in enumerate(w.ps):
-        for ix, x in enumerate(w.xs):
-            rows.append([x, p, w.values[ip, ix]])
-    write_csv(out / "wigner.csv", ["x", "p", "W"], rows)
-    man.add_output(out / "wigner.csv")
-    write_json({"negativity": w.negativity, "norm": w.norm, "spacing": w.spacing,
-                "levels": w.levels}, out / "wigner.json")
-    man.add_output(out / "wigner.json")
+    with man.timed("wigner"):
+        w = wigner_grid(traj.rho_v, bounds=grid.bounds, spacing=grid.spacing)
+    with man.timed("write"):
+        rows = []
+        for ip, p in enumerate(w.ps):
+            for ix, x in enumerate(w.xs):
+                rows.append([x, p, w.values[ip, ix]])
+        write_csv(out / "wigner.csv", ["x", "p", "W"], rows)
+        man.add_output(out / "wigner.csv")
+        write_json({"negativity": w.negativity, "norm": w.norm, "spacing": w.spacing,
+                    "levels": w.levels}, out / "wigner.json")
+        man.add_output(out / "wigner.json")
     man.diag(negativity=w.negativity, wigner_norm=w.norm, wigner_levels=w.levels)
 
 
 def cmd_shortbin_check(traj, cfg, bin, grid, spec, man, out):
-    rho_e = partial_trace(traj.rho_bin_start, tuple(range(cfg.M)))
-    mom = emitter_moments(rho_e, cfg.M)
-    cutoff = traj.rho_v.dim - 1
-    closed = shortbin_rho(mom, cfg.alpha, bin.tau, cfg.kappa, cfg.M, cutoff=cutoff)
-    oracle = shortbin_oracle(rho_e, cfg.alpha, bin.tau, cfg.kappa, cfg.M, cutoff=cutoff)
-    report = {
-        "kappa_tau": cfg.kappa * bin.tau,
-        "trace_distance_integrator_vs_closed": trace_distance(traj.rho_v, closed),
-        "max_entry_closed_vs_oracle": float(np.max(np.abs(closed.mat - oracle.mat))),
-    }
-    write_json(report, out / "shortbin_report.json")
-    man.add_output(out / "shortbin_report.json")
+    with man.timed("reduce"):
+        rho_e = partial_trace(traj.rho_bin_start, tuple(range(cfg.M)))
+        mom = emitter_moments(rho_e, cfg.M)
+        cutoff = traj.rho_v.dim - 1
+        closed = shortbin_rho(mom, cfg.alpha, bin.tau, cfg.kappa, cfg.M, cutoff=cutoff)
+        oracle = shortbin_oracle(rho_e, cfg.alpha, bin.tau, cfg.kappa, cfg.M, cutoff=cutoff)
+        report = {
+            "kappa_tau": cfg.kappa * bin.tau,
+            "trace_distance_integrator_vs_closed": trace_distance(traj.rho_v, closed),
+            "max_entry_closed_vs_oracle": float(np.max(np.abs(closed.mat - oracle.mat))),
+        }
+    with man.timed("write"):
+        write_json(report, out / "shortbin_report.json")
+        man.add_output(out / "shortbin_report.json")
     man.diag(**report)
 
 
 def cmd_ansatz(traj, cfg, bin, grid, spec, man, out):
-    fit = fit_displaced_mixture(traj.rho_v, cfg.alpha, bin.tau, cfg.kappa)
+    with man.timed("reduce"):
+        fit = fit_displaced_mixture(traj.rho_v, cfg.alpha, bin.tau, cfg.kappa)
     doc_out = {
         "weights": list(fit.weights),
         "coefficients": [[complex(c) for c in row] for row in fit.coefficients],
@@ -239,17 +259,20 @@ def cmd_ansatz(traj, cfg, bin, grid, spec, man, out):
         "overlap": fit.overlap,
         "displacement": complex(fit.displacement),
     }
-    write_json(doc_out, out / "ansatz.json")
-    man.add_output(out / "ansatz.json")
+    with man.timed("write"):
+        write_json(doc_out, out / "ansatz.json")
+        man.add_output(out / "ansatz.json")
     man.diag(fit_fidelity=fit.fidelity)
 
 
 def cmd_metrology(traj, cfg, bin, grid, spec, man, out):
-    mom = extract_moments(traj.rho_v)
-    baseline = bin.tau * abs(cfg.alpha_phys) ** 2
-    phi_grid = np.linspace(1e-4, math.pi - 1e-4, spec.phi_points)
-    res = jz_sensitivity(mom, spec.N_b, phi_grid, baseline_na=baseline)
-    sq = squeezed_reference(mom.N_a, spec.N_b, phi_grid)
+    with man.timed("metrology"):
+        mom = extract_moments(traj.rho_v)
+        baseline = bin.tau * abs(cfg.alpha_phys) ** 2
+        phi_grid = np.linspace(1e-4, math.pi - 1e-4, spec.phi_points)
+        res = jz_sensitivity(mom, spec.N_b, phi_grid, baseline_na=baseline)
+        sq = squeezed_reference(mom.N_a, spec.N_b, phi_grid)
+        dphi_cr = crb(traj.rho_v, spec.N_b) if spec.crb else None
     result = {
         "N_a": res.N_a,
         "N_a_baseline": res.N_a_baseline,
@@ -262,14 +285,14 @@ def cmd_metrology(traj, cfg, bin, grid, spec, man, out):
         "squeezed_improvement": res.delta_phi_sn / sq.delta_phi - 1.0,
     }
     if spec.crb:
-        dphi_cr = crb(traj.rho_v, spec.N_b)
         result["delta_phi_cr"] = dphi_cr
         result["improvement_cr"] = res.delta_phi_sn / dphi_cr - 1.0
-    write_json(result, out / "metrology.json")
-    man.add_output(out / "metrology.json")
-    rows = [[p, m, v] for p, m, v in zip(res.phi_grid, res.mean_jz, res.var_jz)]
-    write_csv(out / "jz_curves.csv", ["phi", "mean_jz", "var_jz"], rows)
-    man.add_output(out / "jz_curves.csv")
+    with man.timed("write"):
+        write_json(result, out / "metrology.json")
+        man.add_output(out / "metrology.json")
+        rows = [[p, m, v] for p, m, v in zip(res.phi_grid, res.mean_jz, res.var_jz)]
+        write_csv(out / "jz_curves.csv", ["phi", "mean_jz", "var_jz"], rows)
+        man.add_output(out / "jz_curves.csv")
     man.diag(improvement=res.improvement)
 
 
@@ -288,7 +311,8 @@ def cmd_sweep(doc: dict, cfg: SystemConfig, bin: BinSpec, man: Manifest, out: Pa
     if isinstance(sec, dict) and isinstance(sec.get("axes"), dict):
         sec = {**sec, "axes": tuple(_axis(n, v, cfg, bin) for n, v in sec["axes"].items())}
     plan = _build(SweepPlan, sec, "sweep")
-    rows = run_sweep(plan, cfg, bin, out_dir=out)
+    with man.timed("sweep"):
+        rows = run_sweep(plan, cfg, bin, out_dir=out)
     names = [name for name, _ in plan.axes]
     # an axis holding a complex value takes two real columns, <name>_re and <name>_im
     split = {name for name, values in plan.axes if any(isinstance(v, complex) for v in values)}
@@ -304,12 +328,13 @@ def cmd_sweep(doc: dict, cfg: SystemConfig, bin: BinSpec, man: Manifest, out: Pa
     axis_cols = [c for n in names for c in ((f"{n}_re", f"{n}_im") if n in split else (n,))]
     header = (["index"] + axis_cols + ["objective", "N_a", "cutoff", "trace_drift", "n_rhs",
                                        "wall_s", "artifact", "error_class"])
-    write_csv(out / "sweep.csv", header, csv_rows)
-    man.add_output(out / "sweep.csv")
-    write_json([{"index": r.index, "params": r.params, "objective": r.objective,
-                 "N_a": r.n_a, "artifact": r.artifact, "error": r.error} for r in rows],
-               out / "sweep.json")
-    man.add_output(out / "sweep.json")
+    with man.timed("write"):
+        write_csv(out / "sweep.csv", header, csv_rows)
+        man.add_output(out / "sweep.csv")
+        write_json([{"index": r.index, "params": r.params, "objective": r.objective,
+                     "N_a": r.n_a, "artifact": r.artifact, "error": r.error} for r in rows],
+                   out / "sweep.json")
+        man.add_output(out / "sweep.json")
     man.diag(n_points=plan.n_points, objective=plan.objective)
 
 
@@ -349,7 +374,8 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             cmd_sweep(doc, cfg, bin, man, out)
         else:
-            traj = propagate(cfg, bin)
+            with man.timed("propagate"):
+                traj = propagate(cfg, bin)
             COMMANDS[args.command](traj, cfg, bin, grid, spec, man, out)
             man.diag(**dataclasses.asdict(traj.diagnostics))
         path = man.write(out)

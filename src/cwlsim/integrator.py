@@ -70,7 +70,8 @@ class Diagnostics:
     n_rhs_pre: int  # of which in the emitter-only segment before t0
     n_rhs_bin: int  # of which in the bin [t0, t0 + tau]
     pre_bin_s: float  # wall time of the segment before t0
-    bin_s: float  # wall time of the in-bin segment
+    bin_s: float  # wall time of the in-bin segment, its generator lookups included
+    assemble_s: float  # wall time in get_generator, cached lookups included
     n_rejected: int  # rejected step attempts
     h_min: float  # smallest accepted step, steps cut short at a segment end excepted
     trace_drift_max: float
@@ -86,6 +87,7 @@ class _Counters:
     n_rejected: int = 0
     pre_bin_s: float = 0.0
     bin_s: float = 0.0
+    assemble_s: float = 0.0
     h_min: float = math.inf
     trace_drift_max: float = 0.0
 
@@ -359,7 +361,9 @@ def propagate(cfg: SystemConfig, bin: BinSpec, *, verify_cutoff: bool = False) -
     check_times = np.linspace(0.0, bin.t_end, POSITIVITY_SAMPLES + 1)[1:]
     counters = _Counters()
 
+    t_wall = time.perf_counter()
     gen_e = get_generator(cfg, bin, 1)
+    counters.assemble_s += time.perf_counter() - t_wall
     y = np.zeros(levels * levels)
     y[0] = 1.0  # all emitters in G
     pre_checks: list[np.ndarray] = []
@@ -380,7 +384,9 @@ def propagate(cfg: SystemConfig, bin: BinSpec, *, verify_cutoff: bool = False) -
     bin_runs = 0
     t_wall = time.perf_counter()
     while True:
+        t_gen = time.perf_counter()
         gen = get_generator(cfg, bin, cut + 1, displaced=True)
+        counters.assemble_s += time.perf_counter() - t_gen
         vac = np.zeros((cut + 1, cut + 1), dtype=complex)
         vac[0, 0] = 1.0
         y_t0 = hermitian_coords(np.kron(rho_e, vac))

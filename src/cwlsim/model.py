@@ -16,7 +16,8 @@ rate.  Both are linear in the real cavity coupling g(t) of the flat capture
 mode, which is the Liouvillian's only time dependence.  `build_hamiltonian`,
 `build_jump_operators` and `Generator` all derive from that one source; the
 generator expands it into the superoperator polynomial L0 + g L1 + g^2 L2,
-cached per (physics, cavity dimension, frame): only g(t) reads the bin.  It
+cached per (physics, cavity dimension, frame): only g(t) reads the bin.  The
+terms that do not depend on the drive alpha are cached once for all drives.  It
 keeps the polynomial in the real form that acts on the Hermitian coordinates
 of `hilbert.hermitian_coords`, stacked as one real matrix [R0 | R1 | R2].
 """
@@ -349,23 +350,53 @@ def _commutator_super(H):
     return (-1j * (_left(H) - _right(H))).tocsr()
 
 
+def _l1(H1, coupled):
+    """L1 = -i[H1, .] + the cross terms of the coupled channels, summed in that order."""
+    return reduce(operator.add, (r * _cross_super(A, B) for r, A, B in coupled),
+                  _commutator_super(H1))
+
+
+@lru_cache(maxsize=16)
+def _drive_free(physics: tuple, cav_dim: int, displaced: bool) -> dict:
+    """The terms of `_superoperators` that do not depend on the drive, shared by
+    every alpha of the same ``physics``, the config's other fields: ``diss``, the
+    rate-weighted r D[A] of L0 in their summation order, and ``L``, the
+    first drive's stack, whose R2 and, where H1 carries no drive (the
+    displaced frame, or no cavity), R1 every other drive shares.  Returned
+    empty; the first `_superoperators` call of that physics fills it from
+    the model parts it already built."""
+    return {}
+
+
 @lru_cache(maxsize=16)
 def _superoperators(cfg: SystemConfig, cav_dim: int, displaced: bool):
     """(L, ops) of `Generator`, L = [R0 | R1 | R2] the real form of L0, L1, L2;
-    cached without the bin, which enters only via g(t)."""
+    cached without the bin, which enters only via g(t).  Only -i[H0, .] and,
+    in the lab frame with a cavity, R1 are built per drive; the rest comes
+    from `_drive_free`.  Each term is built and summed in the same order
+    either way, so L is the same bit for bit whatever that cache held."""
     H0, H1, channels, ops = _model_parts(cfg, cav_dim, displaced)
-    # terms are summed as they are built, and each of L0, L1, L2 is put in real
-    # form before the next is built, so only one complex term is held at a time
     live = [(rate, A, B) for rate, A, B in channels if rate != 0]
     coupled = [(rate, A, B) for rate, A, B in live if B is not None]
-    polynomial = (
-        lambda: reduce(operator.add, (r * _dissipator_super(A) for r, A, _ in live),
-                       _commutator_super(H0)),
-        lambda: reduce(operator.add, (r * _cross_super(A, B) for r, A, B in coupled),
-                       _commutator_super(H1)),
-        lambda: reduce(operator.add, (r * _dissipator_super(B) for r, _, B in coupled)),
-    )
-    L = sp.hstack([real_form(term()) for term in polynomial], format="csr")
+    # a plain tuple: a replaced SystemConfig would rerun its field checks
+    physics = tuple(getattr(cfg, f.name) for f in dataclasses.fields(cfg) if f.name != "alpha")
+    free = _drive_free(physics, cav_dim, displaced)
+    # each of L1, L2, L0 is put in real form before the next is built, and L1,
+    # the largest complex sum, before the dissipators of L0 are kept, so the
+    # first build's peak memory stays near that of a build without this cache
+    if "L" in free:  # R2, and R1 where H1 carries no drive, are the first drive's
+        shared = 1 if displaced or cav_dim == 1 else 2
+        tail = [real_form(_l1(H1, coupled))] if shared == 2 else []
+        tail.append(free["L"][:, shared * ops["dim"] ** 2:])
+    else:
+        tail = [real_form(_l1(H1, coupled)),
+                real_form(reduce(operator.add,
+                                 (r * _dissipator_super(B) for r, _, B in coupled)))]
+    if "diss" not in free:
+        free["diss"] = [r * _dissipator_super(A) for r, A, _ in live]
+    R0 = real_form(reduce(operator.add, free["diss"], _commutator_super(H0)))
+    L = sp.hstack([R0, *tail], format="csr")
+    free.setdefault("L", L)
     return L, ops
 
 

@@ -8,9 +8,11 @@ identical tables.  Per-point failures are recorded, not fatal.
 Parallel sweeps run one forked worker process per usable CPU.  Fork, not
 spawn: a spawned worker re-imports numpy, scipy and cwlsim (about 1 s each),
 which costs more than a typical sweep saves, while a forked one inherits the
-loaded modules and the generator cache.  The propagation makes no BLAS call,
-so the workers need no BLAS thread pinning and a row does not depend on the
-process that computed it.  Fork copies only the calling thread: a program
+loaded modules and the generator cache.  The workers take the points in
+chunks that keep each config's points together (`_dispatch_order`), so a
+worker assembles the generators of its own configs only.  The propagation
+makes no BLAS call, so the workers need no BLAS thread pinning and a row does
+not depend on the process that computed it.  Fork copies only the calling thread: a program
 that holds locks in other Python threads while it sweeps should set
 ``CWL_THREADS=1``.
 """
@@ -172,6 +174,22 @@ def max_workers() -> int:
     return max(1, os.cpu_count() or 1)
 
 
+def _dispatch_order(points: list, nw: int):
+    """``(points, chunksize)`` for a pool of ``nw`` workers: the ``(index, params)``
+    points grouped stably by their values on the SystemConfig axes, so that
+    each config's points are adjacent and in grid order, and the chunk size
+    ``len(points) // (2 nw)`` (at least one).  A worker then takes runs of one
+    config and assembles about 1/nw of the generators, while the at least
+    2 nw chunks (given that many points) let a faster worker take more."""
+    rank: dict = {}
+
+    def config(point):
+        key = tuple(repr(v) for name, v in point[1].items() if AXES[name] is SystemConfig)
+        return rank.setdefault(key, len(rank))  # the order a config first appears in
+
+    return sorted(points, key=config), max(1, len(points) // (2 * nw))
+
+
 def run_sweep(plan: SweepPlan, base_cfg: SystemConfig,
               base_bin: BinSpec = BinSpec(), out_dir=None,
               parallel: bool = True) -> list[SweepRow]:
@@ -179,7 +197,8 @@ def run_sweep(plan: SweepPlan, base_cfg: SystemConfig,
 
     ``base_bin`` provides the bin fields not swept over.  With ``parallel``
     the points run on ``min(max_workers(), n_points)`` forked worker
-    processes; where fork is unavailable they run in this process.
+    processes, in the chunks of `_dispatch_order`; where fork is unavailable
+    they run in this process.
     """
     names = [name for name, _ in plan.axes]
     out_path = Path(out_dir) if out_dir is not None else None
@@ -192,8 +211,9 @@ def run_sweep(plan: SweepPlan, base_cfg: SystemConfig,
                                  plan=plan, out_dir=out_path)
     nw = min(max_workers(), len(points)) if parallel else 1
     if nw > 1 and "fork" in multiprocessing.get_all_start_methods():
+        order, chunk = _dispatch_order(points, nw)
         with ProcessPoolExecutor(nw, mp_context=multiprocessing.get_context("fork")) as pool:
-            rows = list(pool.map(evaluate, *zip(*points)))
+            rows = list(pool.map(evaluate, *zip(*order), chunksize=chunk))
     else:
         rows = [evaluate(i, params) for i, params in points]
 

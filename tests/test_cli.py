@@ -41,6 +41,10 @@ def test_simulate_writes_outputs_and_manifest(tmp_path):
     assert diag["n_rhs_pre"] + diag["n_rhs_bin"] == diag["n_rhs"]
     assert diag["pre_bin_s"] > 0 and diag["bin_s"] > 0
     assert diag["pre_bin_s"] + diag["bin_s"] <= man["wall_time_s"]
+    assert diag["assemble_s"] > 0
+    assert _phases(out) == {"propagate", "reduce", "write"}
+    assert diag["pre_bin_s"] + diag["bin_s"] <= man["timings"]["propagate"]
+    assert sum(man["timings"].values()) <= man["wall_time_s"]
     listed = {Path(p).name for p in man["outputs"]}
     assert {"trajectory.csv", "rho_v.json"} <= listed
     for p in man["outputs"]:
@@ -109,8 +113,17 @@ def test_wigner_subcommand(tmp_path):
     assert wdoc["levels"] == 2
     man = json.loads((out / "manifest.json").read_text())
     assert man["diagnostics"]["wigner_levels"] == 2
+    assert _phases(out) == {"propagate", "wigner", "write"}
+    assert sum(man["timings"].values()) <= man["wall_time_s"]
     header = (out / "wigner.csv").read_text().splitlines()[0]
     assert header == "x,p,W"
+
+
+def _phases(out: Path) -> set:
+    """The phases of the manifest's timings block, each checked non-negative."""
+    timings = json.loads((out / "manifest.json").read_text())["timings"]
+    assert all(v >= 0 for v in timings.values())
+    return set(timings)
 
 
 def test_shortbin_check_subcommand(tmp_path):
@@ -121,6 +134,7 @@ def test_shortbin_check_subcommand(tmp_path):
     rep = json.loads((out / "shortbin_report.json").read_text())
     assert rep["trace_distance_integrator_vs_closed"] < 5e-3
     assert rep["max_entry_closed_vs_oracle"] < 1e-8
+    assert _phases(out) == {"propagate", "reduce", "write"}
 
 
 def test_ansatz_subcommand(tmp_path):
@@ -131,6 +145,7 @@ def test_ansatz_subcommand(tmp_path):
     fit = json.loads((out / "ansatz.json").read_text())
     assert fit["fidelity"] > 0.99
     assert len(fit["weights"]) == 3
+    assert _phases(out) == {"propagate", "reduce", "write"}
 
 
 def test_metrology_subcommand(tmp_path):
@@ -146,6 +161,7 @@ def test_metrology_subcommand(tmp_path):
     assert abs(res["improvement"] - 0.10) < 0.03
     assert res["squeezed_improvement"] > res["improvement"]
     assert (out / "jz_curves.csv").exists()
+    assert _phases(out) == {"propagate", "metrology", "write"}
 
 
 def test_metrology_subcommand_quantum_bound(tmp_path):
@@ -184,6 +200,7 @@ def test_sweep_subcommand(tmp_path):
                               "n_rhs", "wall_s", "artifact", "error_class"]
     assert all(int(r["n_rhs"]) > 0 and 0 < float(r["wall_s"]) < 60 for r in table)
     assert [r["artifact"] for r in table] == [r["artifact"] for r in rows]
+    assert _phases(out) == {"sweep", "write"}
 
 
 def test_config_error_exit_code(tmp_path):

@@ -241,6 +241,20 @@ def test_n_rhs_counts_every_generator_call(monkeypatch):
     assert 0 < diag.h_min <= 0.02 * 0.9
 
 
+def test_assemble_s_counts_generator_assembly():
+    # the time in get_generator: a cold call assembles both generators, a warm
+    # repeat only looks them up
+    from cwlsim.model import _drive_free, _superoperators
+
+    cfg, b = SystemConfig(alpha=0.6, M=1), BinSpec(t0=0.4, tau=0.9)
+    _superoperators.cache_clear()
+    _drive_free.cache_clear()
+    cold = propagate(cfg, b).diagnostics
+    warm = propagate(cfg, b).diagnostics
+    assert cold.assemble_s > warm.assemble_s > 0
+    assert warm.n_rhs == cold.n_rhs
+
+
 def _scipy_segment(fun, num, t_start, t_end, y0):
     from scipy.integrate import DOP853
 

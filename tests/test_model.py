@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from cwlsim.errors import ConfigError
 from cwlsim.hilbert import trace_distance
 from cwlsim.integrator import propagate
-from cwlsim.model import (BinSpec, SystemConfig, _superoperators, build_hamiltonian,
+from cwlsim.model import (BinSpec, SystemConfig, _drive_free, _superoperators, build_hamiltonian,
                           build_jump_operators, get_generator, liouvillian_apply,
                           mode_gv, resolve_cutoff)
 from cwlsim.presets import METRO_SINGLE_BIN, METRO_SINGLE_CFG, PARITY_BIN, PARITY_DRIVE
@@ -260,9 +260,15 @@ def test_generator_superoperators_shared_across_bins():
     assert get_generator(cfg, a, 9).L is not ga.L  # the lab frame is a separate entry
 
 
+def _clear_generator_caches():
+    _superoperators.cache_clear()
+    _drive_free.cache_clear()
+
+
 def test_superoperators_cached_on_physics_alone():
     # a propagation that differs only in its numerics reuses the cached
     # superoperators, and the dimension limit is still checked on every call
+    _clear_generator_caches()
     cut = propagate(METRO_SINGLE_CFG, METRO_SINGLE_BIN).diagnostics.cutoff
     before = _superoperators.cache_info()
     num = dataclasses.replace(METRO_SINGLE_CFG.numerics, output_points=2)
@@ -275,18 +281,57 @@ def test_superoperators_cached_on_physics_alone():
         get_generator(dataclasses.replace(METRO_SINGLE_CFG, numerics=small), METRO_SINGLE_BIN,
                       cut + 1, displaced=True)
     assert _superoperators.cache_info().misses == after.misses
+    # another drive assembles both generators anew, from the drive-free terms
+    free = _drive_free.cache_info()
+    propagate(dataclasses.replace(METRO_SINGLE_CFG, alpha=0.19), METRO_SINGLE_BIN)
+    assert _superoperators.cache_info().misses == after.misses + 2
+    assert _drive_free.cache_info().misses == free.misses
+    assert _drive_free.cache_info().hits == free.hits + 2
+
+
+def _bits(L):
+    return L.data.tobytes(), L.indices.tobytes(), L.indptr.tobytes()
+
+
+@pytest.mark.parametrize("cav_dim, displaced", [(1, False), (1, True), (5, False), (5, True)],
+                         ids=["emitters", "emitters-displaced", "lab", "displaced"])
+@pytest.mark.parametrize("physics", [dict(M=0), dict(M=1), dict(M=2, Gamma=0.3),
+                                     dict(M=1, gamma_D=0.4, kappa=1.7),
+                                     dict(M=2, Gamma=0.2, gamma_D=0.5, kappa=0.6)],
+                         ids=["M0", "M1", "M2-Gamma", "M1-gammaD-kappa", "M2-both-kappa"])
+def test_generator_bit_identical_whatever_the_cache_held(physics, cav_dim, displaced):
+    # a generator assembled after another drive of the same physics, from the
+    # cached drive-free terms, is the cold one bit for bit; the drive enters
+    # through alpha_phys = alpha sqrt(kappa), so kappa != 1 scales it
+    b = BinSpec(t0=1.0, tau=2.0)
+    cfg = SystemConfig(alpha=0.5 - 0.2j, **physics)
+    _clear_generator_caches()
+    cold = get_generator(cfg, b, cav_dim, displaced).L
+    _clear_generator_caches()
+    other = get_generator(dataclasses.replace(cfg, alpha=1.1j), b, cav_dim, displaced).L
+    warm = get_generator(cfg, b, cav_dim, displaced).L
+    assert _drive_free.cache_info()[:2] == (1, 1)  # (hits, misses)
+    assert _bits(warm) == _bits(cold)
+    if cfg.M > 0 or (cav_dim > 1 and not displaced):  # the drive enters L
+        assert _bits(other) != _bits(cold)
 
 
 @pytest.mark.parametrize("cfg, bin", [(METRO_SINGLE_CFG, METRO_SINGLE_BIN),
                                       (SystemConfig(alpha=PARITY_DRIVE, M=2), PARITY_BIN)],
                          ids=["metro_single", "parity2"])
 def test_shared_superoperators_leave_rho_v_bit_identical(cfg, bin):
-    # rho_v from superoperators assembled for another bin is the cold-cache one, bit for bit
-    _superoperators.cache_clear()
+    # rho_v from superoperators assembled for another bin, or from the
+    # drive-free terms of another drive, is the cold-cache one, bit for bit
+    _clear_generator_caches()
     propagate(cfg, BinSpec(t0=bin.t0 / 2, tau=bin.tau / 2))
     hits = _superoperators.cache_info().hits
     warm = propagate(cfg, bin).rho_v.mat
     assert _superoperators.cache_info().hits > hits
-    _superoperators.cache_clear()
+    _clear_generator_caches()
+    propagate(dataclasses.replace(cfg, alpha=1.25 * cfg.alpha), bin)
+    hits = _drive_free.cache_info().hits
+    drive_warm = propagate(cfg, bin).rho_v.mat
+    assert _drive_free.cache_info().hits > hits
+    _clear_generator_caches()
     cold = propagate(cfg, bin).rho_v.mat
-    assert warm.tobytes() == cold.tobytes()
+    assert warm.tobytes() == cold.tobytes() == drive_warm.tobytes()

@@ -104,6 +104,42 @@ def test_parallel_equals_sequential(monkeypatch):
     assert all(r.error.startswith("ConfigError") for r in errors)
 
 
+def test_alpha_innermost_parallel_equals_sequential(monkeypatch):
+    # with the drive the innermost axis the workers take each drive's points
+    # together; the rows are the serial ones bit for bit
+    from cwlsim.presets import METRO_N_B, METRO_SINGLE_BIN, METRO_SINGLE_CFG
+
+    monkeypatch.setenv("CWL_THREADS", "2")
+    plan = SweepPlan(axes=(("t0", (1.5, 2.0)), ("tau", (4.0,)),
+                           ("alpha", (0.16, 0.2 + 0.05j, 0.22))),
+                     objective="jz_improvement", N_b=METRO_N_B)
+    seq = run_sweep(plan, METRO_SINGLE_CFG, METRO_SINGLE_BIN, parallel=False)
+    par = run_sweep(plan, METRO_SINGLE_CFG, METRO_SINGLE_BIN, parallel=True)
+    assert all(r.error is None for r in seq)
+    assert [_row_bits(r) for r in seq] == [_row_bits(r) for r in par]
+
+
+@pytest.mark.parametrize("nw", [2, 3])
+def test_dispatch_keeps_each_config_together(nw):
+    from itertools import product
+
+    axes = (("t0", (1.0, 2.0, 3.0)), ("alpha", (0.1, 0.2j, 0.3)), ("tau", (1.0, 2.0)),
+            ("gamma_D", (0.0, 0.5)))
+    points = [(i, dict(zip([n for n, _ in axes], combo)))
+              for i, combo in enumerate(product(*(v for _, v in axes)))]
+    order, chunk = sweep._dispatch_order(points, nw)
+    assert sorted(i for i, _ in order) == list(range(len(points)))
+    assert all(points[i][1] == params for i, params in order)
+    configs = [(params["alpha"], params["gamma_D"]) for _, params in order]
+    runs = [c for k, c in enumerate(configs) if k == 0 or c != configs[k - 1]]
+    assert len(runs) == len(set(runs)) == 6  # each config's points in one run
+    for c in runs:  # in grid order within the run
+        idx = [i for (i, _), cc in zip(order, configs) if cc == c]
+        assert idx == sorted(idx)
+    assert math.ceil(len(points) / chunk) >= 2 * nw
+    assert sweep._dispatch_order(points[:3], nw)[1] == 1
+
+
 def test_pool_capped_at_point_count(monkeypatch):
     monkeypatch.setenv("CWL_THREADS", "8")
     monkeypatch.setattr(sweep, "ProcessPoolExecutor", _PoolSpy)
