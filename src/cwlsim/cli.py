@@ -25,7 +25,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import get_args, get_type_hints
+from typing import get_args
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .hilbert import coherent_state, fidelity, partial_trace, pure_density, trac
 from .integrator import propagate
 from .metrology import (DEFAULT_N_B, MIN_PHI_POINTS, crb, extract_moments,
                         jz_sensitivity, squeezed_reference)
-from .model import BinSpec, SystemConfig, check_fields
+from .model import BinSpec, SystemConfig, check_fields, field_types
 from .serialize import write_csv, write_density_matrix, write_json
 from .shortbin import emitter_moments, shortbin_oracle, shortbin_rho
 from .sweep import AXES, SweepPlan, apply_params, run_sweep
@@ -141,7 +141,7 @@ def _build(cls, sec, name: str):
     """The dataclass ``cls`` from the JSON object ``sec``; omitted fields keep their default."""
     if not isinstance(sec, dict):
         raise ConfigError(f"'{name}' must be a JSON object")
-    types = get_type_hints(cls)
+    types = field_types(cls)
     _reject_unknown(sec, types, name)
     return cls(**{key: _convert(types[key], value, key) for key, value in sec.items()})
 
@@ -200,10 +200,7 @@ class Manifest:
 
 def cmd_simulate(traj, cfg, bin, grid, spec, man, out):
     with man.timed("write"):
-        rows = []
-        for i, t in enumerate(traj.times):
-            rows.append([t] + [traj.populations[i, k] for k in range(cfg.M)]
-                        + [traj.cavity_occupation[i]])
+        rows = np.column_stack((traj.times, traj.populations, traj.cavity_occupation)).tolist()
         header = ["t"] + [f"pop_{k+1}" for k in range(cfg.M)] + ["cavity_n"]
         write_csv(out / "trajectory.csv", header, rows)
         man.add_output(out / "trajectory.csv")
@@ -219,10 +216,8 @@ def cmd_wigner(traj, cfg, bin, grid, spec, man, out):
     with man.timed("wigner"):
         w = wigner_grid(traj.rho_v, bounds=grid.bounds, spacing=grid.spacing)
     with man.timed("write"):
-        rows = []
-        for ip, p in enumerate(w.ps):
-            for ix, x in enumerate(w.xs):
-                rows.append([x, p, w.values[ip, ix]])
+        xs, ps = np.meshgrid(w.xs, w.ps)  # row-major over (p, x): x runs fastest
+        rows = np.column_stack((xs.ravel(), ps.ravel(), w.values.ravel())).tolist()
         write_csv(out / "wigner.csv", ["x", "p", "W"], rows)
         man.add_output(out / "wigner.csv")
         write_json({"negativity": w.negativity, "norm": w.norm, "spacing": w.spacing,
@@ -300,7 +295,7 @@ def _axis(name: str, values, cfg: SystemConfig, bin: BinSpec) -> tuple:
     """Axis ``(name, values)``, each value converted by the type of the field it
     sets and checked by its dataclass; `SweepPlan` rejects other names and values."""
     if name in AXES and isinstance(values, list):
-        values = tuple(_convert(get_type_hints(AXES[name])[name], v, name) for v in values)
+        values = tuple(_convert(field_types(AXES[name])[name], v, name) for v in values)
         for v in values:
             apply_params(cfg, bin, {name: v})
     return name, values

@@ -214,8 +214,6 @@ def real_form(L):
     L = sp.csr_matrix(L)
     n = L.shape[0]
     step = max(1, n * 2**15 // max(L.nnz, 1))
-    if step >= n:
-        return _real_rows(P, L, Ph, s, s)
     return sp.vstack([_real_rows(P[a:a + step], L, Ph, s[a:a + step], s)
                       for a in range(0, n, step)], format="csr")
 

@@ -10,27 +10,28 @@ The dataclasses `SystemConfig`, `Numerics` and `BinSpec` are the only
 configuration schema: their defaults are every entry point's defaults, and
 each checks its own fields (kind and finiteness by annotation, then range).
 
-The physics is written once, in `_model_parts`: the Hamiltonian H0 + g H1 and
-the list of dissipative channels, each a jump operator A + g B at a fixed
+The physics is written once, in `_model_parts` and `_drive`: the Hamiltonian
+V0 + Hx + g (Hc + V1), whose drive terms V0 and V1 are the only place alpha
+enters, and the dissipative channels, each a jump operator A + g B at a fixed
 rate.  Both are linear in the real cavity coupling g(t) of the flat capture
-mode, which is the Liouvillian's only time dependence.  `build_hamiltonian`,
-`build_jump_operators` and `Generator` all derive from that one source; the
-generator expands it into the superoperator polynomial L0 + g L1 + g^2 L2,
-cached per (physics, cavity dimension, frame): only g(t) reads the bin.  The
-terms that do not depend on the drive alpha are cached once for all drives.  It
-keeps the polynomial in the real form that acts on the Hermitian coordinates
-of `hilbert.hermitian_coords`, stacked as one real matrix [R0 | R1 | R2].
+mode, the Liouvillian's only time dependence.  `build_hamiltonian`,
+`build_jump_operators` and `Generator` all derive from them; the generator
+expands them into L0 + g L1 + g^2 L2, kept in the real form on the Hermitian
+coordinates of `hilbert.hermitian_coords` as one real matrix [R0 | R1 | R2].
+Two caches, pure functions of plain keys, hold it: `_drive_free` the terms no
+drive touches, per (physics, cavity dimension, frame), and `_superoperators`
+the stack, per drive besides.  The bin enters only through g(t).
 """
 
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import math
 import numbers
 import operator
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from types import MappingProxyType
 from typing import get_args, get_type_hints
 
 import numpy as np
@@ -48,11 +49,17 @@ _KINDS = {bool: (bool, "a boolean"), int: (numbers.Integral, "an integer"),
           complex: (numbers.Complex, "a finite complex number"), str: (str, "a string")}
 
 
+@lru_cache(maxsize=None)
+def field_types(cls) -> MappingProxyType:
+    """The resolved field annotations of the dataclass ``cls``, read-only."""
+    return MappingProxyType(get_type_hints(cls))
+
+
 def check_fields(obj) -> None:
     """Raise ConfigError unless each bool, number or str field of the dataclass
     ``obj`` holds its annotated kind: numbers finite and never bools, None only
     where the annotation allows it."""
-    for name, tp in get_type_hints(type(obj)).items():
+    for name, tp in field_types(type(obj)).items():
         value, allowed = getattr(obj, name), get_args(tp) or (tp,)
         kind = next((k for k in allowed if k in _KINDS), None)
         if kind is None or (value is None and type(None) in allowed):
@@ -80,6 +87,11 @@ class Numerics:
             raise ConfigError("need dim_limit >= 1 and output_points >= 2")
 
 
+def _levels(gamma_D: float) -> int:
+    """Levels per emitter: G, W, and D where dark-state decay feeds it."""
+    return 3 if gamma_D > 0 else 2
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Emitter chain and drive; emitters get the dark level D when gamma_D > 0."""
@@ -105,19 +117,11 @@ class SystemConfig:
 
     @property
     def levels(self) -> int:
-        return 3 if self.gamma_D > 0 else 2
+        return _levels(self.gamma_D)
 
     @property
     def alpha_phys(self) -> complex:
         return complex(self.alpha) * math.sqrt(self.kappa)
-
-    @property
-    def Gamma_phys(self) -> float:
-        return self.Gamma * self.kappa
-
-    @property
-    def gamma_D_phys(self) -> float:
-        return self.gamma_D * self.kappa
 
 
 @dataclass(frozen=True)
@@ -246,51 +250,61 @@ def chain_operators(M: int, levels: int, cav_dim: int):
     }
 
 
-def _model_parts(cfg: SystemConfig, cav_dim: int, displaced: bool):
-    """The model, written once: H(t) = H0 + g H1 and the dissipative channels.
+def _physics(cfg: SystemConfig) -> tuple:
+    """(kappa, Gamma, gamma_D, M): the fields the model reads besides alpha."""
+    return cfg.kappa, cfg.Gamma, cfg.gamma_D, cfg.M
 
-      H0 = i sqrt(k) (a* S - a S+) + chiral exchange between emitters,
-      H1 = i (a* b - a b+) + (i/2) sqrt(k) (S+ b - b+ S).
-    In the displaced frame the cavity drive term of H1 is dropped.
 
-    Each channel is ``(rate, A, B)`` with jump operator A + g B; ``B`` is None
-    for channels that do not depend on g.  The collective channel
-    sqrt(k) S + g b comes first, then one waveguide-loss channel per emitter
-    and, for three-level emitters, one dark-state channel per emitter.
-    """
-    ops = chain_operators(cfg.M, cfg.levels, cav_dim)
+def _model_parts(physics: tuple, cav_dim: int):
+    """The model without its drive, for ``physics`` of `_physics`: ``(Hx, Hc,
+    channels, ops)`` with the chiral exchange Hx = -i k/2 sum_{i>j} (s_i+ s_j-
+    - s_j+ s_i-) and the capture coupling Hc = (i/2) sqrt(k) (S+ b - b+ S).
+    Each channel is ``(rate, A, B)``, jump operator A + g B (``B`` None where g
+    does not enter): the collective sqrt(k) S + g b, then waveguide loss per
+    emitter and, for three-level emitters, dark-state decay per emitter."""
+    kappa, Gamma, gamma_D, M = physics
+    ops = chain_operators(M, _levels(gamma_D), cav_dim)
     S, b = ops["S"], ops["b"]
     Sd, bd = S.conj().T.tocsr(), b.conj().T.tocsr()
-    sqk = math.sqrt(cfg.kappa)
-    al = cfg.alpha_phys
+    sqk = math.sqrt(kappa)
     dim = ops["dim"]
 
-    H0 = sp.csr_matrix((dim, dim), dtype=complex)
-    if cfg.M > 0:
-        H0 = H0 + 1j * sqk * (np.conj(al) * S - al * Sd)
-        # cascaded exchange: - i k/2 sum_{i>j} (s_i+ s_j- - s_j+ s_i-)
-        for i in range(cfg.M):
-            for j in range(i):
-                sij = ops["sigmas"][i].conj().T @ ops["sigmas"][j]
-                H0 = H0 - 1j * (cfg.kappa / 2.0) * (sij - sij.conj().T)
-
-    H1 = (1j / 2.0) * sqk * (Sd @ b - bd @ S)
-    if not displaced:
-        H1 = H1 + 1j * (np.conj(al) * b - al * bd)
+    Hx = sp.csr_matrix((dim, dim), dtype=complex)
+    for i in range(M):
+        for j in range(i):
+            sij = ops["sigmas"][i].conj().T @ ops["sigmas"][j]
+            Hx = Hx - 1j * (kappa / 2.0) * (sij - sij.conj().T)
+    Hc = (1j / 2.0) * sqk * (Sd @ b - bd @ S)
 
     channels = [(1.0, (sqk * S).tocsr(), b)]
-    channels += [(cfg.Gamma_phys, s, None) for s in ops["sigmas"]]
-    channels += [(cfg.gamma_D_phys, d, None) for d in ops["darks"]]
-    return H0.tocsr(), H1.tocsr(), channels, ops
+    channels += [(Gamma * kappa, s, None) for s in ops["sigmas"]]
+    channels += [(gamma_D * kappa, d, None) for d in ops["darks"]]
+    return Hx.tocsr(), Hc.tocsr(), channels, ops
+
+
+def _lab_cavity(cav_dim: int, displaced: bool) -> bool:
+    """Whether the drive enters L1: a cavity seen in the lab frame."""
+    return not displaced and cav_dim > 1
+
+
+def _drive(alpha_phys: complex, kappa: float, ops: dict, lab_cavity: bool = True):
+    """The drive terms (V0, V1) of H = V0 + Hx + g (Hc + V1): the emitters'
+    V0 = i sqrt(k) (a* S - a S+) and the cavity's V1 = i (a* b - a b+), None
+    unless ``lab_cavity``.  Neither shares an entry with Hx or Hc, so every
+    sum of them is exact."""
+    S, b, al = ops["S"], ops["b"], alpha_phys
+    return ((1j * math.sqrt(kappa) * (np.conj(al) * S - al * S.conj().T)).tocsr(),
+            (1j * (np.conj(al) * b - al * b.conj().T)).tocsr() if lab_cavity else None)
 
 
 def build_hamiltonian(cfg: SystemConfig, bin: BinSpec, t: float):
-    """Full Hamiltonian H(t) = H0 + g(t) H1 as a sparse matrix."""
+    """Full Hamiltonian H(t) = V0 + Hx + g(t) (Hc + V1) as a sparse matrix."""
     cav_dim = resolve_cutoff(cfg, bin) + 1
     check_dim(cfg, cav_dim)
-    H0, H1, _, _ = _model_parts(cfg, cav_dim, displaced=False)
+    Hx, Hc, _, ops = _model_parts(_physics(cfg), cav_dim)
+    V0, V1 = _drive(cfg.alpha_phys, cfg.kappa, ops)
     g = mode_gv(bin, t, cfg.kappa).real
-    return (H0 + g * H1).tocsr()
+    return (V0 + Hx + g * (Hc + V1)).tocsr()
 
 
 def build_jump_operators(cfg: SystemConfig, bin: BinSpec, t: float):
@@ -301,7 +315,7 @@ def build_jump_operators(cfg: SystemConfig, bin: BinSpec, t: float):
     """
     cav_dim = resolve_cutoff(cfg, bin) + 1
     check_dim(cfg, cav_dim)
-    _, _, channels, _ = _model_parts(cfg, cav_dim, displaced=False)
+    _, _, channels, _ = _model_parts(_physics(cfg), cav_dim)
     g = mode_gv(bin, t, cfg.kappa)
     return [(A if B is None else (A + np.conj(g) * B).tocsr(), rate)
             for rate, A, B in channels]
@@ -357,69 +371,55 @@ def _l1(H1, coupled):
 
 
 @lru_cache(maxsize=16)
-def _drive_free(physics: tuple, cav_dim: int, displaced: bool) -> dict:
-    """The terms of `_superoperators` that do not depend on the drive, shared by
-    every alpha of the same ``physics``, the config's other fields: ``diss``, the
-    rate-weighted r D[A] of L0 in their summation order, and ``L``, the
-    first drive's stack, whose R2 and, where H1 carries no drive (the
-    displaced frame, or no cavity), R1 every other drive shares.  Returned
-    empty; the first `_superoperators` call of that physics fills it from
-    the model parts it already built."""
-    return {}
+def _drive_free(physics: tuple, cav_dim: int, displaced: bool):
+    """What every drive of ``physics`` shares: ``(Hx, Hc, ops, coupled, diss,
+    R1, R2)``, the model parts, the channels that depend on g, the
+    rate-weighted r D[A] of L0 in their summation order, R2, and R1 where no
+    drive enters L1 (not `_lab_cavity`), else None.  Each complex sum is put
+    in real form before the next is built."""
+    Hx, Hc, channels, ops = _model_parts(physics, cav_dim)
+    live = [(rate, A, B) for rate, A, B in channels if rate != 0]
+    coupled = [(rate, A, B) for rate, A, B in live if B is not None]
+    R1 = None if _lab_cavity(cav_dim, displaced) else real_form(_l1(Hc, coupled))
+    R2 = real_form(reduce(operator.add, (r * _dissipator_super(B) for r, _, B in coupled)))
+    diss = [r * _dissipator_super(A) for r, A, _ in live]
+    return Hx, Hc, ops, coupled, diss, R1, R2
 
 
 @lru_cache(maxsize=16)
-def _superoperators(cfg: SystemConfig, cav_dim: int, displaced: bool):
-    """(L, ops) of `Generator`, L = [R0 | R1 | R2] the real form of L0, L1, L2;
-    cached without the bin, which enters only via g(t).  Only -i[H0, .] and,
-    in the lab frame with a cavity, R1 are built per drive; the rest comes
-    from `_drive_free`.  Each term is built and summed in the same order
-    either way, so L is the same bit for bit whatever that cache held."""
-    H0, H1, channels, ops = _model_parts(cfg, cav_dim, displaced)
-    live = [(rate, A, B) for rate, A, B in channels if rate != 0]
-    coupled = [(rate, A, B) for rate, A, B in live if B is not None]
-    # a plain tuple: a replaced SystemConfig would rerun its field checks
-    physics = tuple(getattr(cfg, f.name) for f in dataclasses.fields(cfg) if f.name != "alpha")
-    free = _drive_free(physics, cav_dim, displaced)
-    # each of L1, L2, L0 is put in real form before the next is built, and L1,
-    # the largest complex sum, before the dissipators of L0 are kept, so the
-    # first build's peak memory stays near that of a build without this cache
-    if "L" in free:  # R2, and R1 where H1 carries no drive, are the first drive's
-        shared = 1 if displaced or cav_dim == 1 else 2
-        tail = [real_form(_l1(H1, coupled))] if shared == 2 else []
-        tail.append(free["L"][:, shared * ops["dim"] ** 2:])
-    else:
-        tail = [real_form(_l1(H1, coupled)),
-                real_form(reduce(operator.add,
-                                 (r * _dissipator_super(B) for r, _, B in coupled)))]
-    if "diss" not in free:
-        free["diss"] = [r * _dissipator_super(A) for r, A, _ in live]
-    R0 = real_form(reduce(operator.add, free["diss"], _commutator_super(H0)))
-    L = sp.hstack([R0, *tail], format="csr")
-    free.setdefault("L", L)
-    return L, ops
+def _superoperators(alpha: complex, physics: tuple, cav_dim: int, displaced: bool):
+    """(L, ops) of `Generator`, L = [R0 | R1 | R2] the real form of L0, L1, L2
+    for the drive ``alpha`` (units sqrt(kappa)) and ``physics`` of `_physics`;
+    cached without the bin, which enters only via g(t).  Only -i[V0 + Hx, .]
+    and, if `_lab_cavity`, R1 are built here; the rest is `_drive_free`'s."""
+    Hx, Hc, ops, coupled, diss, R1, R2 = _drive_free(physics, cav_dim, displaced)
+    lab_cavity = _lab_cavity(cav_dim, displaced)
+    V0, V1 = _drive(complex(alpha) * math.sqrt(physics[0]), physics[0], ops, lab_cavity)
+    if lab_cavity:
+        R1 = real_form(_l1(Hc + V1, coupled))
+    R0 = real_form(reduce(operator.add, diss, _commutator_super(V0 + Hx)))
+    return sp.hstack([R0, R1, R2], format="csr"), ops
 
 
 class Generator:
     """Liouvillian L(t) = L0 + g(t) L1 + g(t)^2 L2 of one bin.
 
     Expanding sum_r r D[A + g B] over the channels of `_model_parts`:
-      L0 = -i[H0, .] + sum r D[A],
-      L1 = -i[H1, .] + sum r (A . B+ + B . A+ - {A+ B + B+ A, .}/2),
+      L0 = -i[V0 + Hx, .] + sum r D[A],
+      L1 = -i[Hc + V1, .] + sum r (A . B+ + B . A+ - {A+ B + B+ A, .}/2),
       L2 = sum r D[B].
     Channels at rate zero are skipped.  ``L`` holds the three in real form,
     [R0 | R1 | R2] with Rk = T Lk T^-1 on the Hermitian coordinates x of
     `hilbert.hermitian_coords`, so that `rhs` is one real mat-vec; ``L0``,
     ``L1`` and ``L2`` read its blocks.  The stack is shared by every bin of the
-    same config, cavity dimension and frame.
+    same drive, physics, cavity dimension and frame.
     """
 
     def __init__(self, cfg: SystemConfig, bin: BinSpec, cav_dim: int, displaced: bool):
         self.cfg = cfg
         self.bin = bin
         check_dim(cfg, cav_dim)
-        physics = dataclasses.replace(cfg, numerics=Numerics(), cavity_cutoff=None)  # cache key
-        self.L, self.ops = _superoperators(physics, cav_dim, displaced)
+        self.L, self.ops = _superoperators(cfg.alpha, _physics(cfg), cav_dim, displaced)
         self.dim = self.ops["dim"]
 
     def _block(self, k: int):

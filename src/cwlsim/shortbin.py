@@ -43,15 +43,20 @@ class EmitterMoments:
         self.M = M
 
 
+def _emitter_levels(dim: int, M: int) -> int:
+    """Levels per emitter, 2 or 3, of an M-emitter state of dimension ``dim``."""
+    for levels in (2, 3):
+        if levels**M == dim:
+            return levels
+    raise ConfigError(f"emitter state dim {dim} incompatible with M={M}")
+
+
 def emitter_moments(rho_emitters: DensityMatrix, M: int) -> EmitterMoments:
     """Moments of the collective lowering operator on the emitter state."""
     dim = rho_emitters.dim
-    levels_f = dim ** (1.0 / M) if M > 0 else 1.0
-    levels = int(round(levels_f))
+    levels = _emitter_levels(dim, M)
     if M == 0:
         return EmitterMoments(np.ones((1, 1), dtype=complex), 0)
-    if levels**M != dim or levels not in (2, 3):
-        raise ConfigError(f"emitter state dim {dim} incompatible with M={M}")
     S = chain_operators(M, levels, 1)["S"].toarray()
     Sd = S.conj().T
     # powers up to M; (S-)^(M+1) vanishes identically
@@ -134,14 +139,7 @@ def shortbin_oracle(rho_emitters: DensityMatrix, alpha: complex, tau: float,
         cutoff = default_cutoff(tau * abs(alpha_phys) ** 2, M)
     dim_out = cutoff + 1
 
-    dim_e = rho_emitters.dim
-    if M == 0:
-        S = np.zeros((1, 1), dtype=complex)
-    else:
-        levels = int(round(dim_e ** (1.0 / M)))
-        if levels**M != dim_e:
-            raise ConfigError(f"emitter state dim {dim_e} incompatible with M={M}")
-        S = chain_operators(M, levels, 1)["S"].toarray()
+    S = chain_operators(M, _emitter_levels(rho_emitters.dim, M), 1)["S"].toarray()
     A = np.conj(alpha_phys) * np.eye(S.shape[0]) + math.sqrt(kappa) * S.conj().T
     B = alpha_phys * np.eye(S.shape[0]) + math.sqrt(kappa) * S
 

@@ -11,7 +11,10 @@ import pytest
 
 from cwlsim import cli, sweep
 from cwlsim.cli import COMMANDS, main
+from cwlsim.integrator import propagate
+from cwlsim.model import BinSpec, SystemConfig
 from cwlsim.serialize import dumps_json, read_density_matrix, write_csv, write_json
+from cwlsim.wigner import wigner_grid
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -117,6 +120,43 @@ def test_wigner_subcommand(tmp_path):
     assert sum(man["timings"].values()) <= man["wall_time_s"]
     header = (out / "wigner.csv").read_text().splitlines()[0]
     assert header == "x,p,W"
+
+
+def _read_csv(path: Path):
+    """(header, float table) of a CSV written by `write_csv`."""
+    with open(path, newline="", encoding="utf-8") as f:
+        header, *rows = csv.reader(f)
+    return header, np.array([[float(c) for c in row] for row in rows])
+
+
+@pytest.mark.parametrize("M", [0, 2])
+def test_trajectory_csv_reads_back_bit_exact(tmp_path, M):
+    doc = {"system": {"alpha": 0.6, "M": M}, "bin": {"t0": 0.3, "tau": 0.5}}
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 0
+    header, table = _read_csv(out / "trajectory.csv")
+    traj = propagate(SystemConfig(alpha=0.6, M=M), BinSpec(t0=0.3, tau=0.5))
+    assert header == ["t"] + [f"pop_{k + 1}" for k in range(M)] + ["cavity_n"]
+    assert table.shape == (len(traj.times), M + 2)
+    assert table[:, 0].tobytes() == traj.times.tobytes()
+    assert np.ascontiguousarray(table[:, 1:M + 1]).tobytes() == traj.populations.tobytes()
+    assert table[:, M + 1].tobytes() == traj.cavity_occupation.tobytes()
+
+
+def test_wigner_csv_reads_back_bit_exact(tmp_path):
+    bounds = ((-1.0, 2.5), (-1.5, 1.0))
+    doc = {"system": {"alpha": 0.9, "M": 1}, "bin": {"t0": 1.0, "tau": 2.0},
+           "grid": {"spacing": 0.1, "bounds": bounds}}
+    out = tmp_path / "out"
+    assert main(["wigner", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 0
+    header, table = _read_csv(out / "wigner.csv")
+    rho_v = propagate(SystemConfig(alpha=0.9, M=1), BinSpec(t0=1.0, tau=2.0)).rho_v
+    w = wigner_grid(rho_v, bounds=bounds, spacing=0.1)
+    shape = (len(w.ps), len(w.xs))  # one row per grid point, x running fastest
+    assert header == ["x", "p", "W"] and table.shape == (shape[0] * shape[1], 3)
+    assert table[:, 0].tobytes() == np.tile(w.xs, shape[0]).tobytes()
+    assert table[:, 1].tobytes() == np.repeat(w.ps, shape[1]).tobytes()
+    assert table[:, 2].tobytes() == w.values.tobytes()
 
 
 def _phases(out: Path) -> set:

@@ -335,3 +335,30 @@ def test_shared_superoperators_leave_rho_v_bit_identical(cfg, bin):
     _clear_generator_caches()
     cold = propagate(cfg, bin).rho_v.mat
     assert warm.tobytes() == cold.tobytes() == drive_warm.tobytes()
+
+
+def test_warm_generator_lookup_checks_no_fields(monkeypatch):
+    # a cached generator is found from plain keys: no dataclass is built, so
+    # no field check runs
+    from cwlsim import model
+
+    cfg, b = SystemConfig(alpha=0.4, M=1), BinSpec(t0=1.0, tau=2.0)
+    gen = get_generator(cfg, b, 3, displaced=True)
+    calls = []
+    monkeypatch.setattr(model, "check_fields", calls.append)
+    assert get_generator(cfg, b, 3, displaced=True).L is gen.L
+    assert calls == []
+
+
+def test_field_types_resolved_once_per_class(monkeypatch):
+    # each dataclass resolves its annotations once, not on every construction
+    from cwlsim import model
+
+    SystemConfig(alpha=0.3)
+    calls = []
+    monkeypatch.setattr(model, "get_type_hints", lambda cls: calls.append(cls))
+    SystemConfig(alpha=0.5, M=2)
+    BinSpec(t0=0.5)
+    assert calls == []
+    with pytest.raises(ConfigError, match="'M' must be an integer, got 2.0"):
+        SystemConfig(M=2.0)

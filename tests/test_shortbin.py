@@ -165,6 +165,19 @@ def test_moment_table_validation():
         EmitterMoments(mismatch, 1)
 
 
+@pytest.mark.parametrize("dim, M", [(4, 1), (16, 2), (5, 1), (2, 0)],
+                         ids=["4-level", "4-level-pair", "dim5", "M0-dim2"])
+def test_emitter_level_check_shared(dim, M):
+    # both routes accept only 2 or 3 levels per emitter, levels**M == dim; the
+    # oracle used to read a 4-dim M=1 state as one 4-level emitter
+    rho = np.eye(dim, dtype=complex) / dim
+    dm = DensityMatrix(rho)
+    with pytest.raises(ConfigError, match=f"emitter state dim {dim} incompatible with M={M}"):
+        emitter_moments(dm, M)
+    with pytest.raises(ConfigError, match=f"emitter state dim {dim} incompatible with M={M}"):
+        shortbin_oracle(dm, 0.6, 1e-3, 1.0, M)
+
+
 @pytest.mark.parametrize("alpha, kappa, tau, M", [
     (0.9, 1.0, 1e-3, 1),
     (0.5 + 0.3j, 2.0, 0.02, 2),
