@@ -8,6 +8,8 @@ phase-space grid and its negativity.  Output: results/single_emitter/.
 import argparse
 from pathlib import Path
 
+import numpy as np
+
 from cwlsim.integrator import propagate
 from cwlsim.model import SystemConfig
 from cwlsim.presets import (SINGLE_DRIVE, SINGLE_MID_BIN, SINGLE_SHORT_BIN,
@@ -29,15 +31,12 @@ def main():
     for label, b in (("short", SINGLE_SHORT_BIN), ("mid", SINGLE_MID_BIN),
                      ("steady", SINGLE_STEADY_BIN)):
         traj = propagate(cfg, b)
-        rows = [[t, traj.populations[i, 0], traj.cavity_occupation[i]]
-                for i, t in enumerate(traj.times)]
+        rows = np.column_stack((traj.times, traj.populations[:, 0], traj.cavity_occupation))
         write_csv(out / f"population_{label}.csv", ["t", "pop", "cavity_n"], rows)
         w = wigner_grid(traj.rho_v)
-        grid_rows = []
-        for ip, p in enumerate(w.ps):
-            for ix, x in enumerate(w.xs):
-                grid_rows.append([x, p, w.values[ip, ix]])
-        write_csv(out / f"wigner_{label}.csv", ["x", "p", "W"], grid_rows)
+        xs, ps = np.meshgrid(w.xs, w.ps)  # row-major over (p, x): x runs fastest
+        grid = np.column_stack((xs.ravel(), ps.ravel(), w.values.ravel()))
+        write_csv(out / f"wigner_{label}.csv", ["x", "p", "W"], grid)
         summary[label] = {"t0": b.t0, "tau": b.tau, "negativity": w.negativity,
                           "norm": w.norm}
         print(f"{label}: bin ({b.t0}, {b.t0 + b.tau}) negativity {w.negativity:.5f}")

@@ -200,7 +200,7 @@ class Manifest:
 
 def cmd_simulate(traj, cfg, bin, grid, spec, man, out):
     with man.timed("write"):
-        rows = np.column_stack((traj.times, traj.populations, traj.cavity_occupation)).tolist()
+        rows = np.column_stack((traj.times, traj.populations, traj.cavity_occupation))
         header = ["t"] + [f"pop_{k+1}" for k in range(cfg.M)] + ["cavity_n"]
         write_csv(out / "trajectory.csv", header, rows)
         man.add_output(out / "trajectory.csv")
@@ -217,7 +217,7 @@ def cmd_wigner(traj, cfg, bin, grid, spec, man, out):
         w = wigner_grid(traj.rho_v, bounds=grid.bounds, spacing=grid.spacing)
     with man.timed("write"):
         xs, ps = np.meshgrid(w.xs, w.ps)  # row-major over (p, x): x runs fastest
-        rows = np.column_stack((xs.ravel(), ps.ravel(), w.values.ravel())).tolist()
+        rows = np.column_stack((xs.ravel(), ps.ravel(), w.values.ravel()))
         write_csv(out / "wigner.csv", ["x", "p", "W"], rows)
         man.add_output(out / "wigner.csv")
         write_json({"negativity": w.negativity, "norm": w.norm, "spacing": w.spacing,
@@ -285,7 +285,7 @@ def cmd_metrology(traj, cfg, bin, grid, spec, man, out):
     with man.timed("write"):
         write_json(result, out / "metrology.json")
         man.add_output(out / "metrology.json")
-        rows = [[p, m, v] for p, m, v in zip(res.phi_grid, res.mean_jz, res.var_jz)]
+        rows = np.column_stack((res.phi_grid, res.mean_jz, res.var_jz))
         write_csv(out / "jz_curves.csv", ["phi", "mean_jz", "var_jz"], rows)
         man.add_output(out / "jz_curves.csv")
     man.diag(improvement=res.improvement)

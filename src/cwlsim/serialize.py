@@ -6,15 +6,16 @@ and in CSV alike, is Python's ``repr``: the shortest text that reads back to
 the same double, so every value round-trips exactly; non-finite values are
 written ``NaN``, ``Infinity`` and ``-Infinity``.  CSV files are
 comma-separated with a header row and LF line endings; a text cell holding a
-comma, double quote, CR or LF is quoted as RFC 4180 says.  Density matrices
-are stored as row-major [re, im] pairs with a dimension header, so other
-tools can reconstruct them without guessing layout.
+comma, double quote, CR or LF is quoted as RFC 4180 says.  CSV is written
+column-wise, each distinct float formatted once, with the bytes of a
+cell-by-cell writer.  Density matrices: row-major [re, im] pairs, dim header.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -55,20 +56,29 @@ def _cell(cell) -> str:
     return text
 
 
-def _line(row) -> str:
-    """One CSV row; a row of finite floats (numpy float64 included) takes
-    ``float.__repr__``, one C-level call per cell, and any other row `_cell`."""
-    try:
-        text = ",".join(map(float.__repr__, row))
-    except TypeError:  # a cell that is not a float
-        return ",".join(map(_cell, row))
-    return ",".join(map(_cell, row)) if "n" in text else text  # nan, inf
+def _column(cells):
+    """One column's texts; floats once per bit pattern (0.0 is not -0.0)."""
+    if isinstance(cells, np.ndarray) or set(map(type, cells)) <= {float, np.float64}:
+        bits, inverse = np.unique(np.asarray(cells, np.float64).view(np.int64), return_inverse=True)
+        texts = list(map(float.__repr__, bits.view(np.float64)))
+        return np.array(list(map(_NONFINITE.get, texts, texts)), dtype=object)[inverse]
+    return list(map(_cell, cells))
 
 
 def write_csv(path, header: list, rows) -> None:
-    lines = [",".join(map(_cell, header))]
-    lines.extend(map(_line, rows))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    """Write ``header`` and ``rows``: a sequence of rows, or a 2-D float64 array."""
+    if not header:
+        raise ConfigError("a CSV table needs at least one column")
+    table = isinstance(rows, np.ndarray) and rows.dtype == np.float64 and rows.ndim == 2
+    widths = [rows.shape[1]] * len(rows) if table else list(map(len, rows))
+    if widths.count(len(header)) != len(widths):
+        i = next(i for i, n in enumerate(widths) if n != len(header))
+        raise ConfigError(f"CSV row {i} has {widths[i]} cells, the header {len(header)}")
+    lines = map(",".join, zip(*map(_column, rows.T if table else zip(*rows))))
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write(",".join(map(_cell, header)) + "\n")
+        while block := list(islice(lines, 4096)):  # a block at a time, never the whole text
+            f.write("\n".join(block) + "\n")
 
 
 def write_density_matrix(dm: DensityMatrix, path) -> None:

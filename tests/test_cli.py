@@ -8,9 +8,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cwlsim import cli, sweep
 from cwlsim.cli import COMMANDS, main
+from cwlsim.errors import ConfigError
 from cwlsim.integrator import propagate
 from cwlsim.model import BinSpec, SystemConfig
 from cwlsim.serialize import dumps_json, read_density_matrix, write_csv, write_json
@@ -396,6 +399,95 @@ def test_csv_float_rows_match_cell_by_cell_format(tmp_path):
     write_csv(path, header, rows)
     want = "".join(",".join(map(_reference_cell, r)) + "\n" for r in [header] + rows)
     assert path.read_bytes() == want.encode("utf-8")
+
+
+def _reference_csv(header, rows) -> bytes:
+    return "".join(",".join(map(_reference_cell, r)) + "\n"
+                   for r in [header, *rows]).encode("utf-8")
+
+
+def test_csv_columns_match_cell_by_cell_format(tmp_path):
+    # one column of each kind: float columns are formatted once per distinct
+    # value, every other column cell by cell
+    columns = {
+        "repeated": [0.1, 0.1, 1e16, 0.1, 1e16],
+        "zeros": [0.0, -0.0, 0.0, -0.0, np.float64(-0.0)],
+        "special": [math.nan, math.inf, -math.inf, 5e-324, 2.5e-310],
+        "np64": [np.float64(math.nan), np.float64(-math.inf), np.float64(0.1),
+                 np.float64(0.1), -3.6666666845318403],
+        "f32": [np.float32(0.05), np.float32(0.05), np.float32(math.nan), np.float32(-0.0),
+                np.float32(1e-40)],
+        "int": [1, -2, np.int64(7), 10**20, 0],
+        "bool": [True, False, np.bool_(True), True, False],
+        "none": [None] * 5,
+        "text": ["a,b", 'say "hi"', "line\nbreak", "cr\rhere", "plain"],
+        "mixed": [1.5, "a,b", np.float64(2.5), None, 1.5],
+    }
+    header = list(columns)
+    rows = [list(r) for r in zip(*columns.values())]
+    path = tmp_path / "table.csv"
+    write_csv(path, header, rows)
+    assert path.read_bytes() == _reference_csv(header, rows)
+    floats = ["repeated", "zeros", "special", "np64"]
+    table = np.array([columns[n] for n in floats], dtype=np.float64).T
+    write_csv(path, floats, table)
+    assert path.read_bytes() == _reference_csv(floats, table.tolist())
+    assert "-0.0" in path.read_text().splitlines()[2].split(",")
+    for empty in ([], np.empty((0, 4))):
+        write_csv(path, floats, empty)
+        assert path.read_bytes() == b"repeated,zeros,special,np64\n"
+    many = [[i * 0.1, float(i % 7), str(i)] for i in range(3 * 4096 + 5)]  # several write blocks
+    write_csv(path, ["a", "b", "c"], many)
+    assert path.read_bytes() == _reference_csv(["a", "b", "c"], many)
+
+
+_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 0.1, 1e16, 5e-324, 2.5e-310, math.nan,
+                                     math.inf, -math.inf, -3.6666666845318403]),
+                    st.floats())
+_TEXT = st.text(alphabet=st.sampled_from('ab ,"\r\né'), max_size=6)
+_CELLS = {
+    "float": st.one_of(_FLOATS, _FLOATS.map(np.float64)),
+    "float32": st.floats(width=32).map(np.float32),
+    "int": st.integers(-10**20, 10**20),
+    "bool": st.booleans(),
+    "none": st.none(),
+    "text": _TEXT,
+    "mixed": st.one_of(_FLOATS, _TEXT),
+}
+
+
+@st.composite
+def _tables(draw):
+    kinds = draw(st.lists(st.sampled_from(sorted(_CELLS)), min_size=1, max_size=5))
+    n = draw(st.integers(0, 12))
+    columns = [draw(st.lists(_CELLS[k], min_size=n, max_size=n)) for k in kinds]
+    return kinds, [list(r) for r in zip(*columns)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tables(), st.booleans())
+def test_csv_matches_cell_by_cell_format(tmp_path_factory, table, as_array):
+    header, rows = table
+    if as_array and set(header) == {"float"}:
+        rows = np.array(rows, dtype=np.float64).reshape(len(rows), len(header))
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    write_csv(path, header, rows)
+    want = _reference_csv(header, rows.tolist() if isinstance(rows, np.ndarray) else rows)
+    assert path.read_bytes() == want
+
+
+def test_csv_rejects_rows_of_another_width(tmp_path):
+    # a short or long row would be cut to the narrowest when columns are read
+    path = tmp_path / "ragged.csv"
+    with pytest.raises(ConfigError, match="CSV row 1 has 2 cells, the header 3"):
+        write_csv(path, ["a", "b", "c"], [[1, 2, 3], [4, 5], [6, 7, 8]])
+    with pytest.raises(ConfigError, match="CSV row 2 has 4 cells, the header 3"):
+        write_csv(path, ["a", "b", "c"], [[0.1, 0.2, 0.3]] * 2 + [[1.0, 2.0, 3.0, 4.0]])
+    with pytest.raises(ConfigError, match="CSV row 0 has 2 cells, the header 3"):
+        write_csv(path, ["a", "b", "c"], np.zeros((4, 2)))
+    with pytest.raises(ConfigError, match="at least one column"):
+        write_csv(path, [], [[], []])
+    assert not path.exists()
 
 
 def test_sweep_error_with_comma_keeps_csv_rows(tmp_path):
