@@ -385,7 +385,7 @@ def propagate(cfg: SystemConfig, bin: BinSpec, *, verify_cutoff: bool = False) -
     t_wall = time.perf_counter()
     while True:
         t_gen = time.perf_counter()
-        gen = get_generator(cfg, bin, cut + 1, displaced=True)
+        gen = get_generator(cfg, bin, cut + 1)
         counters.assemble_s += time.perf_counter() - t_gen
         vac = np.zeros((cut + 1, cut + 1), dtype=complex)
         vac[0, 0] = 1.0

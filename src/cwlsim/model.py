@@ -14,13 +14,14 @@ The physics is written once, in `_model_parts` and `_drive`: the Hamiltonian
 V0 + Hx + g (Hc + V1), whose drive terms V0 and V1 are the only place alpha
 enters, and the dissipative channels, each a jump operator A + g B at a fixed
 rate.  Both are linear in the real cavity coupling g(t) of the flat capture
-mode, the Liouvillian's only time dependence.  `build_hamiltonian`,
-`build_jump_operators` and `Generator` all derive from them; the generator
-expands them into L0 + g L1 + g^2 L2, kept in the real form on the Hermitian
+mode, the Liouvillian's only time dependence.  `build_hamiltonian` and
+`build_jump_operators` state it in the lab frame, `liouvillian_apply` applies
+it in operator form, and `Generator` expands it into L0 + g L1 + g^2 L2 in the
+displaced frame of `frame_amplitude`, kept in the real form on the Hermitian
 coordinates of `hilbert.hermitian_coords` as one real matrix [R0 | R1 | R2].
 Two caches, pure functions of plain keys, hold it: `_drive_free` the terms no
-drive touches, per (physics, cavity dimension, frame), and `_superoperators`
-the stack, per drive besides.  The bin enters only through g(t).
+drive touches, per (physics, cavity dimension), and `_superoperators` the
+stack, per drive besides.  The bin enters only through g(t).
 """
 
 from __future__ import annotations
@@ -282,19 +283,12 @@ def _model_parts(physics: tuple, cav_dim: int):
     return Hx.tocsr(), Hc.tocsr(), channels, ops
 
 
-def _lab_cavity(cav_dim: int, displaced: bool) -> bool:
-    """Whether the drive enters L1: a cavity seen in the lab frame."""
-    return not displaced and cav_dim > 1
-
-
-def _drive(alpha_phys: complex, kappa: float, ops: dict, lab_cavity: bool = True):
-    """The drive terms (V0, V1) of H = V0 + Hx + g (Hc + V1): the emitters'
-    V0 = i sqrt(k) (a* S - a S+) and the cavity's V1 = i (a* b - a b+), None
-    unless ``lab_cavity``.  Neither shares an entry with Hx or Hc, so every
-    sum of them is exact."""
-    S, b, al = ops["S"], ops["b"], alpha_phys
-    return ((1j * math.sqrt(kappa) * (np.conj(al) * S - al * S.conj().T)).tocsr(),
-            (1j * (np.conj(al) * b - al * b.conj().T)).tocsr() if lab_cavity else None)
+def _drive(alpha_phys: complex, X, scale: float = 1.0):
+    """A drive term i scale (a* X - a X+) of H = V0 + Hx + g (Hc + V1), the only
+    place alpha enters: V0 = _drive(a, S, sqrt(k)) on the emitters and
+    V1 = _drive(a, b) on the cavity, which the displaced frame removes.  Neither
+    shares an entry with Hx or Hc, so every sum of them is exact."""
+    return (1j * scale * (np.conj(alpha_phys) * X - alpha_phys * X.conj().T)).tocsr()
 
 
 def build_hamiltonian(cfg: SystemConfig, bin: BinSpec, t: float):
@@ -302,7 +296,8 @@ def build_hamiltonian(cfg: SystemConfig, bin: BinSpec, t: float):
     cav_dim = resolve_cutoff(cfg, bin) + 1
     check_dim(cfg, cav_dim)
     Hx, Hc, _, ops = _model_parts(_physics(cfg), cav_dim)
-    V0, V1 = _drive(cfg.alpha_phys, cfg.kappa, ops)
+    al = cfg.alpha_phys
+    V0, V1 = _drive(al, ops["S"], math.sqrt(cfg.kappa)), _drive(al, ops["b"])
     g = mode_gv(bin, t, cfg.kappa).real
     return (V0 + Hx + g * (Hc + V1)).tocsr()
 
@@ -364,62 +359,54 @@ def _commutator_super(H):
     return (-1j * (_left(H) - _right(H))).tocsr()
 
 
-def _l1(H1, coupled):
-    """L1 = -i[H1, .] + the cross terms of the coupled channels, summed in that order."""
-    return reduce(operator.add, (r * _cross_super(A, B) for r, A, B in coupled),
-                  _commutator_super(H1))
-
-
 @lru_cache(maxsize=16)
-def _drive_free(physics: tuple, cav_dim: int, displaced: bool):
-    """What every drive of ``physics`` shares: ``(Hx, Hc, ops, coupled, diss,
-    R1, R2)``, the model parts, the channels that depend on g, the
-    rate-weighted r D[A] of L0 in their summation order, R2, and R1 where no
-    drive enters L1 (not `_lab_cavity`), else None.  Each complex sum is put
-    in real form before the next is built."""
+def _drive_free(physics: tuple, cav_dim: int):
+    """What every drive of ``physics`` shares: ``(Hx, ops, diss, R1, R2)``,
+    the model parts, the rate-weighted r D[A] of L0 in their summation order,
+    and R1, R2 of the displaced frame, where no drive enters L1.  Each complex
+    sum is put in real form before the next is built."""
     Hx, Hc, channels, ops = _model_parts(physics, cav_dim)
     live = [(rate, A, B) for rate, A, B in channels if rate != 0]
     coupled = [(rate, A, B) for rate, A, B in live if B is not None]
-    R1 = None if _lab_cavity(cav_dim, displaced) else real_form(_l1(Hc, coupled))
+    R1 = real_form(reduce(operator.add, (r * _cross_super(A, B) for r, A, B in coupled),
+                          _commutator_super(Hc)))
     R2 = real_form(reduce(operator.add, (r * _dissipator_super(B) for r, _, B in coupled)))
     diss = [r * _dissipator_super(A) for r, A, _ in live]
-    return Hx, Hc, ops, coupled, diss, R1, R2
+    return Hx, ops, diss, R1, R2
 
 
 @lru_cache(maxsize=16)
-def _superoperators(alpha: complex, physics: tuple, cav_dim: int, displaced: bool):
+def _superoperators(alpha: complex, physics: tuple, cav_dim: int):
     """(L, ops) of `Generator`, L = [R0 | R1 | R2] the real form of L0, L1, L2
     for the drive ``alpha`` (units sqrt(kappa)) and ``physics`` of `_physics`;
     cached without the bin, which enters only via g(t).  Only -i[V0 + Hx, .]
-    and, if `_lab_cavity`, R1 are built here; the rest is `_drive_free`'s."""
-    Hx, Hc, ops, coupled, diss, R1, R2 = _drive_free(physics, cav_dim, displaced)
-    lab_cavity = _lab_cavity(cav_dim, displaced)
-    V0, V1 = _drive(complex(alpha) * math.sqrt(physics[0]), physics[0], ops, lab_cavity)
-    if lab_cavity:
-        R1 = real_form(_l1(Hc + V1, coupled))
+    is built here; the rest is `_drive_free`'s."""
+    Hx, ops, diss, R1, R2 = _drive_free(physics, cav_dim)
+    V0 = _drive(complex(alpha) * math.sqrt(physics[0]), ops["S"], math.sqrt(physics[0]))
     R0 = real_form(reduce(operator.add, diss, _commutator_super(V0 + Hx)))
     return sp.hstack([R0, R1, R2], format="csr"), ops
 
 
 class Generator:
-    """Liouvillian L(t) = L0 + g(t) L1 + g(t)^2 L2 of one bin.
+    """Liouvillian L(t) = L0 + g(t) L1 + g(t)^2 L2 of one bin in the displaced
+    frame of `frame_amplitude`, H - g V1 for H; cavity dimension 1 is the emitters.
 
     Expanding sum_r r D[A + g B] over the channels of `_model_parts`:
       L0 = -i[V0 + Hx, .] + sum r D[A],
-      L1 = -i[Hc + V1, .] + sum r (A . B+ + B . A+ - {A+ B + B+ A, .}/2),
+      L1 = -i[Hc, .] + sum r (A . B+ + B . A+ - {A+ B + B+ A, .}/2),
       L2 = sum r D[B].
     Channels at rate zero are skipped.  ``L`` holds the three in real form,
     [R0 | R1 | R2] with Rk = T Lk T^-1 on the Hermitian coordinates x of
     `hilbert.hermitian_coords`, so that `rhs` is one real mat-vec; ``L0``,
     ``L1`` and ``L2`` read its blocks.  The stack is shared by every bin of the
-    same drive, physics, cavity dimension and frame.
+    same drive, physics and cavity dimension.
     """
 
-    def __init__(self, cfg: SystemConfig, bin: BinSpec, cav_dim: int, displaced: bool):
+    def __init__(self, cfg: SystemConfig, bin: BinSpec, cav_dim: int):
         self.cfg = cfg
         self.bin = bin
         check_dim(cfg, cav_dim)
-        self.L, self.ops = _superoperators(cfg.alpha, _physics(cfg), cav_dim, displaced)
+        self.L, self.ops = _superoperators(cfg.alpha, _physics(cfg), cav_dim)
         self.dim = self.ops["dim"]
 
     def _block(self, k: int):
@@ -443,19 +430,25 @@ class Generator:
         return hermitian_matrix(self.rhs(t, hermitian_coords(y))).reshape(-1)
 
 
-def get_generator(cfg: SystemConfig, bin: BinSpec, cav_dim: int | None = None,
-                  displaced: bool = False) -> Generator:
+def get_generator(cfg: SystemConfig, bin: BinSpec, cav_dim: int | None = None) -> Generator:
+    """The displaced-frame `Generator`, by default at the output cutoff + 1."""
     if cav_dim is None:
         cav_dim = resolve_cutoff(cfg, bin) + 1
-    return Generator(cfg, bin, cav_dim, displaced)
+    return Generator(cfg, bin, cav_dim)
 
 
 def liouvillian_apply(cfg: SystemConfig, bin: BinSpec, t: float, rho: np.ndarray) -> np.ndarray:
-    """Right-hand side d(rho)/dt of the master equation at time t."""
+    """Right-hand side d(rho)/dt of the lab-frame master equation at time t for
+    a Hermitian rho, in operator form from `build_hamiltonian` and
+    `build_jump_operators`: Y + Y+ with Y = -i H_eff rho + sum r J rho J+ / 2
+    and H_eff = H - (i/2) sum r J+ J.  Sparse times dense products only, no BLAS."""
     arr = rho.mat if hasattr(rho, "mat") else np.asarray(rho, dtype=complex)
-    gen = get_generator(cfg, bin)
-    if arr.shape != (gen.dim, gen.dim):
-        raise ConfigError(
-            f"state dimension {arr.shape} does not match generator dim {gen.dim}"
-        )
-    return gen.apply_vec(t, arr.reshape(-1)).reshape(arr.shape)
+    H = build_hamiltonian(cfg, bin, t)
+    if arr.shape != H.shape:
+        raise ConfigError(f"state dimension {arr.shape} does not match model dim {H.shape[0]}")
+    jumps = [(J, r) for J, r in build_jump_operators(cfg, bin, t) if r != 0]
+    H_eff = reduce(operator.add, ((-0.5j * r) * (J.conj().T @ J) for J, r in jumps), H)
+    Y = -1j * (H_eff @ arr)
+    for J, r in jumps:
+        Y += (0.5 * r) * (J @ (J @ arr).conj().T)  # J (J rho)+ = J rho J+
+    return Y + Y.conj().T

@@ -323,7 +323,7 @@ def test_stepper_matches_scipy_dop853(case):
     vac = np.zeros((cav_dim, cav_dim), dtype=complex)
     vac[0, 0] = 1.0
     y_t0 = np.kron(ref_pre.reshape(gen_pre.dim, gen_pre.dim), vac).reshape(-1)
-    gen = get_generator(cfg, b, cav_dim, displaced=True)
+    gen = get_generator(cfg, b, cav_dim)
     t_open = np.nextafter(b.t0, np.inf)  # the bin opens at g's right limit
 
     ref_bin, n_bin = _scipy_segment(lambda t, y: gen.apply_vec(max(t, t_open), y),

@@ -172,27 +172,58 @@ def test_liouvillian_trace_free_and_hermitian():
         assert np.max(np.abs(out - out.conj().T)) < 1e-10
 
 
+def _dense_lindblad(H, jumps, rho):
+    out = -1j * (H @ rho - rho @ H)
+    for L, r in jumps:
+        LdL = L.conj().T @ L
+        out += r * (L @ rho @ L.conj().T - 0.5 * (LdL @ rho + rho @ LdL))
+    return out
+
+
 @pytest.mark.parametrize("M", [0, 1, 2, 3])
 def test_liouvillian_matches_dense_lindblad(M):
     # dense -i[H, rho] + sum r (L rho L+ - {L+ L, rho}/2) built from the
-    # Hamiltonian and jump list against the cached superoperator polynomial
+    # Hamiltonian and jump list against the operator form of liouvillian_apply
+    # and against the real superoperator stacks the integrator steps: the
+    # displaced generator, which is the same master equation with H - g V1,
+    # and the emitter-only one, the cavity-vacuum block of H and the jumps
     cfg = SystemConfig(alpha=0.6 - 0.2j, M=M, Gamma=0.3, gamma_D=0.2, cavity_cutoff=5)
     b = BinSpec(t0=0.5, tau=1.0)
-    dim = 3**M * 6
+    dim_e = 3**M
+    dim = dim_e * 6
+    b_op = np.kron(np.eye(dim_e), np.diag(np.sqrt(np.arange(1.0, 6)), k=1))
+    al = cfg.alpha_phys
+    V1 = 1j * (np.conj(al) * b_op - al * b_op.conj().T)
+    vac = np.ix_(np.arange(dim_e) * 6, np.arange(dim_e) * 6)
+    displaced, emitters = get_generator(cfg, b), get_generator(cfg, b, 1)
     rng = np.random.default_rng(11 + M)
+
+    def check(fast, dense):
+        assert np.max(np.abs(fast - dense)) <= 1e-12 * np.max(np.abs(dense))
+
     # before the bin, mid-bin, inside the g_max clamp region, bin end
     for t in (0.2, 1.0, 0.5 + 1e-8, 1.5):
         H = build_hamiltonian(cfg, b, t).toarray()
         jumps = [(L.toarray(), r) for L, r in build_jump_operators(cfg, b, t)]
         assert len(jumps) == 1 + 2 * M
+        g = mode_gv(b, t).real
         for _ in range(3):
             rho = _random_state(rng, dim)
-            dense = -1j * (H @ rho - rho @ H)
-            for L, r in jumps:
-                LdL = L.conj().T @ L
-                dense += r * (L @ rho @ L.conj().T - 0.5 * (LdL @ rho + rho @ LdL))
-            fast = liouvillian_apply(cfg, b, t, rho)
-            assert np.max(np.abs(fast - dense)) <= 1e-12 * np.max(np.abs(dense))
+            check(liouvillian_apply(cfg, b, t, rho), _dense_lindblad(H, jumps, rho))
+            check(displaced.apply_vec(t, rho.reshape(-1)).reshape(dim, dim),
+                  _dense_lindblad(H - g * V1, jumps, rho))
+            rho_e = _random_state(rng, dim_e)
+            check(emitters.apply_vec(t, rho_e.reshape(-1)).reshape(dim_e, dim_e),
+                  _dense_lindblad(H[vac], [(L[vac], r) for L, r in jumps], rho_e))
+
+
+def test_liouvillian_rejects_a_state_of_the_wrong_shape():
+    cfg = SystemConfig(alpha=0.6, M=1)
+    b = BinSpec(t0=0.2, tau=1.0)
+    dim = 2 * (resolve_cutoff(cfg, b) + 1)
+    for shape in ((dim - 2, dim - 2), (dim, dim - 1), (dim * dim,)):
+        with pytest.raises(ConfigError, match="does not match model dim"):
+            liouvillian_apply(cfg, b, 0.7, np.zeros(shape))
 
 
 def test_liouvillian_stationary_vacuum():
@@ -254,10 +285,21 @@ def test_clamp_convergence():
 def test_generator_superoperators_shared_across_bins():
     cfg = SystemConfig(alpha=0.5, M=1)
     a, b = BinSpec(t0=1.0, tau=2.0), BinSpec(t0=3.0, tau=0.5)
-    ga, gb = get_generator(cfg, a, 9, displaced=True), get_generator(cfg, b, 9, displaced=True)
+    ga, gb = get_generator(cfg, a, 9), get_generator(cfg, b, 9)
     assert ga.L is gb.L and ga.ops is gb.ops  # the stacked real form [R0 | R1 | R2]
     assert ga.g(2.0) == mode_gv(a, 2.0).real and gb.g(2.0) == 0.0  # each bin keeps its g(t)
-    assert get_generator(cfg, a, 9).L is not ga.L  # the lab frame is a separate entry
+
+
+def test_generator_of_a_run_is_the_one_it_stepped_on():
+    # the generator at the run's own cutoff is a cache hit: the stack the bin
+    # was stepped on, not another assembly
+    cfg, b = METRO_SINGLE_CFG, METRO_SINGLE_BIN
+    cut = propagate(cfg, b).diagnostics.cutoff
+    before = _superoperators.cache_info()
+    gen = get_generator(cfg, b, cut + 1)
+    after = _superoperators.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    assert gen.dim == cfg.levels**cfg.M * (cut + 1)
 
 
 def _clear_generator_caches():
@@ -279,7 +321,7 @@ def test_superoperators_cached_on_physics_alone():
     small = dataclasses.replace(METRO_SINGLE_CFG.numerics, dim_limit=dim - 1)
     with pytest.raises(ConfigError, match="exceeds configured limit"):
         get_generator(dataclasses.replace(METRO_SINGLE_CFG, numerics=small), METRO_SINGLE_BIN,
-                      cut + 1, displaced=True)
+                      cut + 1)
     assert _superoperators.cache_info().misses == after.misses
     # another drive assembles both generators anew, from the drive-free terms
     free = _drive_free.cache_info()
@@ -293,27 +335,32 @@ def _bits(L):
     return L.data.tobytes(), L.indices.tobytes(), L.indptr.tobytes()
 
 
-@pytest.mark.parametrize("cav_dim, displaced", [(1, False), (1, True), (5, False), (5, True)],
-                         ids=["emitters", "emitters-displaced", "lab", "displaced"])
+@pytest.mark.parametrize("cav_dims", [(1,), (1, 5), (5,)],
+                         ids=["emitters", "emitters-displaced", "displaced"])
 @pytest.mark.parametrize("physics", [dict(M=0), dict(M=1), dict(M=2, Gamma=0.3),
                                      dict(M=1, gamma_D=0.4, kappa=1.7),
                                      dict(M=2, Gamma=0.2, gamma_D=0.5, kappa=0.6)],
                          ids=["M0", "M1", "M2-Gamma", "M1-gammaD-kappa", "M2-both-kappa"])
-def test_generator_bit_identical_whatever_the_cache_held(physics, cav_dim, displaced):
+def test_generator_bit_identical_whatever_the_cache_held(physics, cav_dims):
     # a generator assembled after another drive of the same physics, from the
     # cached drive-free terms, is the cold one bit for bit; the drive enters
-    # through alpha_phys = alpha sqrt(kappa), so kappa != 1 scales it
+    # through alpha_phys = alpha sqrt(kappa), so kappa != 1 scales it. With
+    # both cavity dimensions cached at once, neither takes the other's terms
     b = BinSpec(t0=1.0, tau=2.0)
     cfg = SystemConfig(alpha=0.5 - 0.2j, **physics)
     _clear_generator_caches()
-    cold = get_generator(cfg, b, cav_dim, displaced).L
+    cold = [get_generator(cfg, b, d).L for d in cav_dims]
     _clear_generator_caches()
-    other = get_generator(dataclasses.replace(cfg, alpha=1.1j), b, cav_dim, displaced).L
-    warm = get_generator(cfg, b, cav_dim, displaced).L
-    assert _drive_free.cache_info()[:2] == (1, 1)  # (hits, misses)
-    assert _bits(warm) == _bits(cold)
-    if cfg.M > 0 or (cav_dim > 1 and not displaced):  # the drive enters L
-        assert _bits(other) != _bits(cold)
+    other = [get_generator(dataclasses.replace(cfg, alpha=1.1j), b, d).L for d in cav_dims]
+    warm = [get_generator(cfg, b, d).L for d in reversed(cav_dims)][::-1]
+    n = len(cav_dims)
+    assert _drive_free.cache_info()[:2] == (n, n)  # (hits, misses)
+    for w, c, o in zip(warm, cold, other):
+        assert _bits(w) == _bits(c)
+        if cfg.M > 0:  # the drive enters L
+            assert _bits(o) != _bits(c)
+    if n > 1:
+        assert _bits(cold[0]) != _bits(cold[1])
 
 
 @pytest.mark.parametrize("cfg, bin", [(METRO_SINGLE_CFG, METRO_SINGLE_BIN),
@@ -343,10 +390,10 @@ def test_warm_generator_lookup_checks_no_fields(monkeypatch):
     from cwlsim import model
 
     cfg, b = SystemConfig(alpha=0.4, M=1), BinSpec(t0=1.0, tau=2.0)
-    gen = get_generator(cfg, b, 3, displaced=True)
+    gen = get_generator(cfg, b, 3)
     calls = []
     monkeypatch.setattr(model, "check_fields", calls.append)
-    assert get_generator(cfg, b, 3, displaced=True).L is gen.L
+    assert get_generator(cfg, b, 3).L is gen.L
     assert calls == []
 
 
