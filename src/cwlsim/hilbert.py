@@ -231,7 +231,9 @@ class DensityMatrix:
 
     ``dims`` records the subsystem dimensions in tensor order (cavity last);
     their product must equal the matrix dimension.  The stored array is
-    read-only.
+    read-only.  A caller that has already solved ``mat`` for its smallest
+    eigenvalue passes it as ``min_eig``, and the positivity check reads it
+    instead of solving again.
     """
 
     __slots__ = ("mat", "dims")
@@ -244,6 +246,7 @@ class DensityMatrix:
         positivity_tol: float = POSITIVITY_TOL,
         herm_tol: float = HERMITICITY_TOL,
         trace_tol: float = TRACE_TOL,
+        min_eig: float | None = None,
     ):
         mat = np.asarray(mat, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -260,8 +263,10 @@ class DensityMatrix:
         tr = mat.trace()
         if abs(tr - 1.0) > trace_tol:
             raise ConfigError(f"trace {tr!r} deviates from 1 beyond {trace_tol:.1e}")
-        # numpy's eigvalsh: scipy's eigh stalls in forked workers on some small sizes
-        lo = float(np.min(np.linalg.eigvalsh((mat + mat.conj().T) / 2)))
+        lo = min_eig
+        if lo is None:
+            # numpy's eigvalsh: scipy's eigh stalls in forked workers on some small sizes
+            lo = float(np.min(np.linalg.eigvalsh((mat + mat.conj().T) / 2)))
         if lo < -positivity_tol:
             raise ConfigError(f"minimum eigenvalue {lo:.3e} below -{positivity_tol:.1e}")
         mat = mat.copy()

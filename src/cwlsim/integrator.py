@@ -18,7 +18,8 @@ all the step's grid times before its end are evaluated in one contraction
 Positivity is checked on accepted step ends: for each of POSITIVITY_SAMPLES
 evenly spaced times, the first step end at or after it, one state per step.
 Neither the stepper, the sampler nor the frame change makes a BLAS call, so
-the result is bit-identical at any BLAS thread count.
+the result is bit-identical at any BLAS thread count.  The tableau is
+`_dop853`, SciPy's coefficients bit for bit.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate._ivp import dop853_coefficients as _dop
 
+from . import _dop853 as _dop
 from .errors import CutoffConvergenceError, StepSizeError
 from .hilbert import (DensityMatrix, coord_modulus, displacement_block, hermitian_coords,
                       hermitian_matrix, partial_trace, trace_weights)
@@ -115,7 +116,7 @@ class _Dop853:
     """Adaptive DOP853 8(5,3) stepper on the Hermitian coordinates of a state.
 
     Hairer, Norsett & Wanner, *Solving ODEs I*, Sec. II.10, with scipy's
-    tableau, step controller and initial-step rule.  The error scale at each
+    tableau (`_dop853`), step controller and initial-step rule.  The error scale at each
     coordinate is atol + rtol |rho_ij| (`hilbert.coord_modulus`), so the weighted RMS
     norm is the one scipy takes of the complex vec(rho).  Every stage sum,
     error norm and dense-output combination is an ``np.einsum`` without
@@ -408,10 +409,19 @@ def propagate(cfg: SystemConfig, bin: BinSpec, *, verify_cutoff: bool = False) -
         cut = min(2 * cut, cut_max)
     counters.bin_s = time.perf_counter() - t_wall
 
+    # numpy's eigvalsh, as in DensityMatrix: in forked sweep workers at two
+    # BLAS threads, scipy's eigh stalled for ~50 ms a call on these states
+    eig_min = [float(np.min(np.linalg.eigvalsh(hermitian_matrix(ys))))
+               for ys in pre_checks + bin_checks]
+    pos_min = min([0.0] + eig_min)
+
     rho_end = hermitian_matrix(y)
     herm_max = float(np.max(np.abs(rho_end - rho_end.conj().T)))
     dims = tuple([cfg.levels] * cfg.M + [cut + 1])
-    rho_d = partial_trace(DensityMatrix(rho_end, dims, positivity_tol=1e-7), cfg.M).mat
+    # the last check time is t_end, so the last bin sample is the end state
+    end_min = eig_min[-1] if bin_checks[-1] is y else None
+    rho_d = partial_trace(DensityMatrix(rho_end, dims, positivity_tol=1e-7, min_eig=end_min),
+                          cfg.M).mat
     D = displacement_block(frame(bin.t_end), out_dim, cut + 1)
     lab = np.einsum("mj,jk,nk->mn", D, rho_d, D.conj())
     lab = (lab + lab.conj().T) / 2
@@ -422,12 +432,6 @@ def propagate(cfg: SystemConfig, bin: BinSpec, *, verify_cutoff: bool = False) -
                                      f"{out_dim - 1} (tolerance {OUTPUT_LEAK_TOL:.0e}); "
                                      "raise cavity_cutoff")
     lab /= kept
-
-    # numpy's eigvalsh, as in DensityMatrix: in forked sweep workers at two
-    # BLAS threads, scipy's eigh stalled for ~50 ms a call on these states
-    pos_min = 0.0
-    for ys in pre_checks + bin_checks:
-        pos_min = min(pos_min, float(np.min(np.linalg.eigvalsh(hermitian_matrix(ys)))))
 
     vac = np.zeros((out_dim, out_dim), dtype=complex)
     vac[0, 0] = 1.0

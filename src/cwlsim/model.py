@@ -291,15 +291,23 @@ def _drive(alpha_phys: complex, X, scale: float = 1.0):
     return (1j * scale * (np.conj(alpha_phys) * X - alpha_phys * X.conj().T)).tocsr()
 
 
-def build_hamiltonian(cfg: SystemConfig, bin: BinSpec, t: float):
-    """Full Hamiltonian H(t) = V0 + Hx + g(t) (Hc + V1) as a sparse matrix."""
+def _lab_model(cfg: SystemConfig, bin: BinSpec, t: float):
+    """``(H, jumps)`` of `build_hamiltonian` and `build_jump_operators`, from one
+    `_model_parts` at the output cutoff + 1."""
     cav_dim = resolve_cutoff(cfg, bin) + 1
     check_dim(cfg, cav_dim)
-    Hx, Hc, _, ops = _model_parts(_physics(cfg), cav_dim)
+    Hx, Hc, channels, ops = _model_parts(_physics(cfg), cav_dim)
     al = cfg.alpha_phys
     V0, V1 = _drive(al, ops["S"], math.sqrt(cfg.kappa)), _drive(al, ops["b"])
-    g = mode_gv(bin, t, cfg.kappa).real
-    return (V0 + Hx + g * (Hc + V1)).tocsr()
+    g = mode_gv(bin, t, cfg.kappa)
+    H = (V0 + Hx + g.real * (Hc + V1)).tocsr()
+    return H, [(A if B is None else (A + np.conj(g) * B).tocsr(), rate)
+               for rate, A, B in channels]
+
+
+def build_hamiltonian(cfg: SystemConfig, bin: BinSpec, t: float):
+    """Full Hamiltonian H(t) = V0 + Hx + g(t) (Hc + V1) as a sparse matrix."""
+    return _lab_model(cfg, bin, t)[0]
 
 
 def build_jump_operators(cfg: SystemConfig, bin: BinSpec, t: float):
@@ -308,12 +316,7 @@ def build_jump_operators(cfg: SystemConfig, bin: BinSpec, t: float):
     Every channel is listed, zero rates included: the collective channel at
     rate 1, then s_i- at Gamma and, for three-level emitters, d_i at gamma_D.
     """
-    cav_dim = resolve_cutoff(cfg, bin) + 1
-    check_dim(cfg, cav_dim)
-    _, _, channels, _ = _model_parts(_physics(cfg), cav_dim)
-    g = mode_gv(bin, t, cfg.kappa)
-    return [(A if B is None else (A + np.conj(g) * B).tocsr(), rate)
-            for rate, A, B in channels]
+    return _lab_model(cfg, bin, t)[1]
 
 
 def check_dim(cfg: SystemConfig, cav_dim: int):
@@ -439,14 +442,15 @@ def get_generator(cfg: SystemConfig, bin: BinSpec, cav_dim: int | None = None) -
 
 def liouvillian_apply(cfg: SystemConfig, bin: BinSpec, t: float, rho: np.ndarray) -> np.ndarray:
     """Right-hand side d(rho)/dt of the lab-frame master equation at time t for
-    a Hermitian rho, in operator form from `build_hamiltonian` and
-    `build_jump_operators`: Y + Y+ with Y = -i H_eff rho + sum r J rho J+ / 2
-    and H_eff = H - (i/2) sum r J+ J.  Sparse times dense products only, no BLAS."""
+    a Hermitian rho, in operator form from the H and J of `build_hamiltonian`
+    and `build_jump_operators`, built from one `_model_parts` per call:
+    Y + Y+ with Y = -i H_eff rho + sum r J rho J+ / 2 and
+    H_eff = H - (i/2) sum r J+ J.  Sparse times dense products only, no BLAS."""
     arr = rho.mat if hasattr(rho, "mat") else np.asarray(rho, dtype=complex)
-    H = build_hamiltonian(cfg, bin, t)
+    H, jumps = _lab_model(cfg, bin, t)
     if arr.shape != H.shape:
         raise ConfigError(f"state dimension {arr.shape} does not match model dim {H.shape[0]}")
-    jumps = [(J, r) for J, r in build_jump_operators(cfg, bin, t) if r != 0]
+    jumps = [(J, r) for J, r in jumps if r != 0]
     H_eff = reduce(operator.add, ((-0.5j * r) * (J.conj().T @ J) for J, r in jumps), H)
     Y = -1j * (H_eff @ arr)
     for J, r in jumps:

@@ -60,7 +60,7 @@ def _column(cells):
     """One column's texts; floats once per bit pattern (0.0 is not -0.0)."""
     if isinstance(cells, np.ndarray) or set(map(type, cells)) <= {float, np.float64}:
         bits, inverse = np.unique(np.asarray(cells, np.float64).view(np.int64), return_inverse=True)
-        texts = list(map(float.__repr__, bits.view(np.float64)))
+        texts = list(map(float.__repr__, bits.view(np.float64).tolist()))
         return np.array(list(map(_NONFINITE.get, texts, texts)), dtype=object)[inverse]
     return list(map(_cell, cells))
 

@@ -490,3 +490,75 @@ def test_results_independent_of_blas_threads():
         outputs.append(proc.stdout)
     assert len(outputs[0].splitlines()) == 6
     assert outputs[0] == outputs[1]
+
+
+def test_propagate_solves_the_end_state_once(monkeypatch):
+    # One eigvalsh per positivity sample, then DensityMatrix of the cavity
+    # marginal, of rho_v and of rho_bin_start.  The last sample is the end
+    # state, so its DensityMatrix reads that sample's smallest eigenvalue.
+    from cwlsim import integrator
+
+    eigvalsh, calls = np.linalg.eigvalsh, []
+    segment, samples = integrator._integrate_segment, []
+
+    def recording_segment(*args):
+        y = segment(*args)
+        samples.extend(args[8])  # check_out
+        return y
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    monkeypatch.setattr(integrator, "_integrate_segment", recording_segment)
+    propagate(METRO_SINGLE_CFG, METRO_SINGLE_BIN)
+    assert len(samples) >= 2
+    assert len(calls) == len(samples) + 3
+
+
+def test_dop853_tableau_equals_scipy():
+    # scipy's private module is a test-only oracle; src/cwlsim never imports it
+    from scipy.integrate._ivp import dop853_coefficients as ref
+
+    from cwlsim import _dop853
+
+    for name in ("A", "B", "C", "D", "E3", "E5"):
+        ours, theirs = getattr(_dop853, name), getattr(ref, name)
+        assert ours.dtype == theirs.dtype == np.float64
+        assert np.array_equal(ours.view(np.int64), theirs.view(np.int64)), name
+    for name in ("N_STAGES", "N_STAGES_EXTENDED", "INTERPOLATOR_POWER"):
+        assert getattr(_dop853, name) == getattr(ref, name), name
+
+
+IMPORT_PROBE = """
+import sys
+import cwlsim
+import cwlsim.cli
+print(sorted(m for m in ("scipy.integrate", "scipy.optimize") if m in sys.modules))
+"""
+
+
+def test_import_loads_no_scipy_integrate():
+    import ast
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import cwlsim
+
+    pkg = Path(cwlsim.__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=str(pkg.parent))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    for path in pkg.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+                names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            for name in names:
+                parts = name.split(".")
+                assert not (parts[0] == "scipy" and any(p.startswith("_") for p in parts)), \
+                    f"{path.name} imports the private {name}"
