@@ -436,6 +436,8 @@ def propagate(cfg: SystemConfig, bin: BinSpec, *, verify_cutoff: bool = False) -
     vac = np.zeros((out_dim, out_dim), dtype=complex)
     vac[0, 0] = 1.0
     rho_t0 = np.kron(rho_e, vac)
+    # the spectrum of rho_e (x) |0><0| is rho_e's and zeros: solve the small factor
+    t0_min = min(float(np.min(np.linalg.eigvalsh(rho_e))), 0.0)
     diag = Diagnostics(cutoff=cut, bin_runs=bin_runs, cutoff_check=float(abs(p[-1])),
                        output_leak=leak, n_rhs_bin=counters.n_rhs - counters.n_rhs_pre, positivity_min=pos_min,
                        hermiticity_max=herm_max, **dataclasses.asdict(counters))
@@ -445,6 +447,6 @@ def propagate(cfg: SystemConfig, bin: BinSpec, *, verify_cutoff: bool = False) -
         cavity_occupation=cav,
         rho_v=DensityMatrix(lab, positivity_tol=1e-7),
         rho_bin_start=DensityMatrix(rho_t0, tuple([cfg.levels] * cfg.M + [out_dim]),
-                                    positivity_tol=1e-7),
+                                    positivity_tol=1e-7, min_eig=t0_min),
         diagnostics=diag,
     )

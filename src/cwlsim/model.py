@@ -19,9 +19,12 @@ mode, the Liouvillian's only time dependence.  `build_hamiltonian` and
 it in operator form, and `Generator` expands it into L0 + g L1 + g^2 L2 in the
 displaced frame of `frame_amplitude`, kept in the real form on the Hermitian
 coordinates of `hilbert.hermitian_coords` as one real matrix [R0 | R1 | R2].
-Two caches, pure functions of plain keys, hold it: `_drive_free` the terms no
-drive touches, per (physics, cavity dimension), and `_superoperators` the
-stack, per drive besides.  The bin enters only through g(t).
+All three share one Lindblad form, d rho/dt = K rho + rho K+ + sum r J rho J+
+with K = -i H - sum r J+J / 2: K and the jumps are polynomials in g, so each
+Lk is the K pair of Kk plus the jump sandwiches of order k.  Two caches, pure
+functions of plain keys, hold it: `_drive_free` the terms no drive touches,
+per (physics, cavity dimension), and `_superoperators` the stack, per drive
+besides.  The bin enters only through g(t).
 """
 
 from __future__ import annotations
@@ -229,18 +232,14 @@ def chain_operators(M: int, levels: int, cav_dim: int):
     def embed(op_site: np.ndarray, site: int):
         facs = [sp.csr_matrix(ident_e)] * M + [ident_c]
         facs[site] = sp.csr_matrix(op_site)
-        return tensor(facs) if M > 0 else ident_c.copy()
+        return tensor(facs)
 
     sigmas = [embed(lower, i) for i in range(M)]
     pops = [embed(proj_w, i) for i in range(M)]
     darks = [embed(dark, i) for i in range(M)] if levels == 3 else []
     dim = levels**M * cav_dim
-    if M > 0:
-        S = reduce(operator.add, sigmas)
-        b = tensor([sp.csr_matrix(sp.identity(levels**M, dtype=complex)), a])
-    else:
-        S = sp.csr_matrix((dim, dim), dtype=complex)
-        b = a.copy()
+    S = reduce(operator.add, sigmas, sp.csr_matrix((dim, dim), dtype=complex))
+    b = tensor([sp.identity(levels**M, dtype=complex, format="csr"), a])
     return {
         "S": S.tocsr(),
         "b": b.tocsr(),
@@ -287,7 +286,7 @@ def _drive(alpha_phys: complex, X, scale: float = 1.0):
     """A drive term i scale (a* X - a X+) of H = V0 + Hx + g (Hc + V1), the only
     place alpha enters: V0 = _drive(a, S, sqrt(k)) on the emitters and
     V1 = _drive(a, b) on the cavity, which the displaced frame removes.  Neither
-    shares an entry with Hx or Hc, so every sum of them is exact."""
+    shares an entry with Hx, Hc or any A+A, so every sum of them is exact."""
     return (1j * scale * (np.conj(alpha_phys) * X - alpha_phys * X.conj().T)).tocsr()
 
 
@@ -332,61 +331,57 @@ def check_dim(cfg: SystemConfig, cav_dim: int):
 # superoperator assembly (row-major vec convention)
 
 
-def _left(A):
-    n = A.shape[0]
-    return sp.kron(A, sp.identity(n, dtype=complex, format="csr"), format="csr")
+def _sandwich(X, Y):
+    """rho -> X rho Y+."""
+    return sp.kron(X, Y.conj(), format="csr")
 
 
-def _right(A):
-    n = A.shape[0]
-    return sp.kron(sp.identity(n, dtype=complex, format="csr"), A.T, format="csr")
+def _k_pair(K):
+    """rho -> K rho + rho K+, the sandwiches K . 1 and 1 . K."""
+    eye = sp.identity(K.shape[0], dtype=complex, format="csr")
+    return _sandwich(K, eye) + _sandwich(eye, K)
 
 
-def _dissipator_super(A):
-    """D[A] rho = A rho A+ - {A+ A, rho}/2."""
-    AdA = (A.conj().T @ A).tocsr()
-    return (sp.kron(A, A.conj(), format="csr") - 0.5 * (_left(AdA) + _right(AdA))).tocsr()
+def _k_of(H, terms):
+    """K = -i H - sum r Y+ X / 2 (H None: no Hamiltonian) of the jump
+    sandwiches r X . Y+ in ``terms``, each (r, X, Y): the part of a Lindblad
+    generator that is not a jump."""
+    parts = [(-0.5 * r) * (Y.conj().T @ X) for r, X, Y in terms]
+    return reduce(operator.add, parts if H is None else [-1j * H] + parts).tocsr()
 
 
-def _cross_super(A, B):
-    """Term linear in g of D[A + g B]: A rho B+ + B rho A+ - {A+ B + B+ A, rho}/2."""
-    C = (A.conj().T.tocsr() @ B + B.conj().T.tocsr() @ A).tocsr()
-    return (
-        sp.kron(A, B.conj(), format="csr")
-        + sp.kron(B, A.conj(), format="csr")
-        - 0.5 * (_left(C) + _right(C))
-    ).tocsr()
-
-
-def _commutator_super(H):
-    return (-1j * (_left(H) - _right(H))).tocsr()
+def _sandwiches(terms):
+    """sum r X . Y+ over the (r, X, Y) of ``terms``."""
+    return reduce(operator.add, (r * _sandwich(X, Y) for r, X, Y in terms))
 
 
 @lru_cache(maxsize=16)
 def _drive_free(physics: tuple, cav_dim: int):
-    """What every drive of ``physics`` shares: ``(Hx, ops, diss, R1, R2)``,
-    the model parts, the rate-weighted r D[A] of L0 in their summation order,
-    and R1, R2 of the displaced frame, where no drive enters L1.  Each complex
-    sum is put in real form before the next is built."""
+    """What every drive of ``physics`` shares: ``(K0, ops, S0, R1, R2)``, the
+    drive-free part K0 = -i Hx - sum r A+A / 2 of L0's K, the model parts, L0's
+    jump sandwiches S0 = sum r A . A+, and R1, R2 of the displaced frame, where
+    no drive enters L1.  Each complex sum is put in real form before the next
+    is built."""
     Hx, Hc, channels, ops = _model_parts(physics, cav_dim)
     live = [(rate, A, B) for rate, A, B in channels if rate != 0]
     coupled = [(rate, A, B) for rate, A, B in live if B is not None]
-    R1 = real_form(reduce(operator.add, (r * _cross_super(A, B) for r, A, B in coupled),
-                          _commutator_super(Hc)))
-    R2 = real_form(reduce(operator.add, (r * _dissipator_super(B) for r, _, B in coupled)))
-    diss = [r * _dissipator_super(A) for r, A, _ in live]
-    return Hx, ops, diss, R1, R2
+    terms1 = [t for r, A, B in coupled for t in ((r, A, B), (r, B, A))]
+    terms2 = [(r, B, B) for r, _, B in coupled]
+    R1 = real_form(_k_pair(_k_of(Hc, terms1)) + _sandwiches(terms1))
+    R2 = real_form(_k_pair(_k_of(None, terms2)) + _sandwiches(terms2))
+    terms0 = [(r, A, A) for r, A, _ in live]
+    return _k_of(Hx, terms0), ops, _sandwiches(terms0), R1, R2
 
 
 @lru_cache(maxsize=16)
 def _superoperators(alpha: complex, physics: tuple, cav_dim: int):
     """(L, ops) of `Generator`, L = [R0 | R1 | R2] the real form of L0, L1, L2
     for the drive ``alpha`` (units sqrt(kappa)) and ``physics`` of `_physics`;
-    cached without the bin, which enters only via g(t).  Only -i[V0 + Hx, .]
-    is built here; the rest is `_drive_free`'s."""
-    Hx, ops, diss, R1, R2 = _drive_free(physics, cav_dim)
+    cached without the bin, which enters only via g(t).  Only L0's K pair is
+    built here, from -i V0 and `_drive_free`'s K0; the rest is cached there."""
+    K0, ops, S0, R1, R2 = _drive_free(physics, cav_dim)
     V0 = _drive(complex(alpha) * math.sqrt(physics[0]), ops["S"], math.sqrt(physics[0]))
-    R0 = real_form(reduce(operator.add, diss, _commutator_super(V0 + Hx)))
+    R0 = real_form(_k_pair(K0 - 1j * V0) + S0)
     return sp.hstack([R0, R1, R2], format="csr"), ops
 
 
@@ -394,10 +389,11 @@ class Generator:
     """Liouvillian L(t) = L0 + g(t) L1 + g(t)^2 L2 of one bin in the displaced
     frame of `frame_amplitude`, H - g V1 for H; cavity dimension 1 is the emitters.
 
-    Expanding sum_r r D[A + g B] over the channels of `_model_parts`:
-      L0 = -i[V0 + Hx, .] + sum r D[A],
-      L1 = -i[Hc, .] + sum r (A . B+ + B . A+ - {A+ B + B+ A, .}/2),
-      L2 = sum r D[B].
+    With the channels (r, A, B) of `_model_parts`, K = K0 + g K1 + g^2 K2 and
+    Lk rho = Kk rho + rho Kk+ + the jump sandwiches of order k:
+      K0 = -i (V0 + Hx) - sum r A+A / 2,         L0: sum r A . A+,
+      K1 = -i Hc - sum r (A+B + B+A) / 2,        L1: sum r (A . B+ + B . A+),
+      K2 = -sum r B+B / 2,                       L2: sum r B . B+.
     Channels at rate zero are skipped.  ``L`` holds the three in real form,
     [R0 | R1 | R2] with Rk = T Lk T^-1 on the Hermitian coordinates x of
     `hilbert.hermitian_coords`, so that `rhs` is one real mat-vec; ``L0``,

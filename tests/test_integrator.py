@@ -495,7 +495,9 @@ def test_results_independent_of_blas_threads():
 def test_propagate_solves_the_end_state_once(monkeypatch):
     # One eigvalsh per positivity sample, then DensityMatrix of the cavity
     # marginal, of rho_v and of rho_bin_start.  The last sample is the end
-    # state, so its DensityMatrix reads that sample's smallest eigenvalue.
+    # state, so its DensityMatrix reads that sample's smallest eigenvalue, and
+    # rho_bin_start = rho_e (x) |0><0| takes rho_e's: no solve is larger than
+    # the propagation's own state.
     from cwlsim import integrator
 
     eigvalsh, calls = np.linalg.eigvalsh, []
@@ -508,9 +510,11 @@ def test_propagate_solves_the_end_state_once(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
     monkeypatch.setattr(integrator, "_integrate_segment", recording_segment)
-    propagate(METRO_SINGLE_CFG, METRO_SINGLE_BIN)
+    cut = propagate(METRO_SINGLE_CFG, METRO_SINGLE_BIN).diagnostics.cutoff
     assert len(samples) >= 2
     assert len(calls) == len(samples) + 3
+    dim = METRO_SINGLE_CFG.levels**METRO_SINGLE_CFG.M * (cut + 1)
+    assert max(n for shape in calls for n in shape) <= dim
 
 
 def test_dop853_tableau_equals_scipy():

@@ -180,14 +180,17 @@ def _dense_lindblad(H, jumps, rho):
     return out
 
 
-@pytest.mark.parametrize("M", [0, 1, 2, 3])
-def test_liouvillian_matches_dense_lindblad(M):
+@pytest.mark.parametrize("M, kappa", [pytest.param(m, 1.0, id=str(m)) for m in range(4)]
+                         + [pytest.param(2, 0.6, id="2-kappa0.6")])
+def test_liouvillian_matches_dense_lindblad(M, kappa):
     # dense -i[H, rho] + sum r (L rho L+ - {L+ L, rho}/2) built from the
     # Hamiltonian and jump list against the operator form of liouvillian_apply
     # and against the real superoperator stacks the integrator steps: the
     # displaced generator, which is the same master equation with H - g V1,
-    # and the emitter-only one, the cavity-vacuum block of H and the jumps
-    cfg = SystemConfig(alpha=0.6 - 0.2j, M=M, Gamma=0.3, gamma_D=0.2, cavity_cutoff=5)
+    # and the emitter-only one, the cavity-vacuum block of H and the jumps;
+    # kappa != 1 weighs the channels unequally, so their sums round apart
+    cfg = SystemConfig(alpha=0.6 - 0.2j, M=M, Gamma=0.3, gamma_D=0.2, kappa=kappa,
+                       cavity_cutoff=5)
     b = BinSpec(t0=0.5, tau=1.0)
     dim_e = 3**M
     dim = dim_e * 6
@@ -206,7 +209,7 @@ def test_liouvillian_matches_dense_lindblad(M):
         H = build_hamiltonian(cfg, b, t).toarray()
         jumps = [(L.toarray(), r) for L, r in build_jump_operators(cfg, b, t)]
         assert len(jumps) == 1 + 2 * M
-        g = mode_gv(b, t).real
+        g = mode_gv(b, t, cfg.kappa).real
         for _ in range(3):
             rho = _random_state(rng, dim)
             check(liouvillian_apply(cfg, b, t, rho), _dense_lindblad(H, jumps, rho))
