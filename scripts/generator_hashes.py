@@ -6,8 +6,9 @@
 Run it on two checkouts and ``diff`` the outputs: equal lines mean the same
 bits.  Three sections:
 
-- ``generator``: the stacked real generator ``L`` (data, indices, indptr) of
-  42 generators, 7 physics x 3 drives x cavity dimension 1 (the emitters
+- ``generator``: the blocks ``L0``, ``L1`` and ``L2`` of the real generator
+  (data, indices, indptr of each, so the hash does not depend on how the
+  blocks are stacked) of 42 generators, 7 physics x 3 drives x cavity dimension 1 (the emitters
   alone) and 4 (the displaced frame), each built on empty caches ("cold") and
   after the other two drives of the same physics ("warm").
 - ``preset``: 15 preset propagations, cold and after a propagation of the same
@@ -68,8 +69,9 @@ def generators() -> None:
         for cav_dim in (1, 4):
             for alpha in DRIVES:
                 def bits(a):
-                    L = get_generator(SystemConfig(alpha=a, **physics), b, cav_dim).L
-                    return digest(L.data, L.indices, L.indptr)
+                    gen = get_generator(SystemConfig(alpha=a, **physics), b, cav_dim)
+                    return digest(*(arr for L in (gen.L0, gen.L1, gen.L2)
+                                    for arr in (L.data, L.indices, L.indptr)))
 
                 clear_caches()
                 cold = bits(alpha)

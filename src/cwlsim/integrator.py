@@ -2,24 +2,40 @@
 
 Adaptive DOP853 stepping (embedded Runge-Kutta, order 8(5,3)) on the d^2
 real Hermitian coordinates x of the density matrix (`hilbert.hermitian_coords`),
-split exactly at the generator discontinuities t0 and t0 + tau, both segments
-by rtol/atol alone.  The state is Hermitian by construction, and its error
+split exactly at the generator's discontinuities t0, t0 + s_c (below) and
+t0 + tau, every segment by rtol/atol alone.  The state is Hermitian by construction, and its error
 norm is that of the complex vec(rho): the coordinates are orthonormal and both
-of a pair (Re, Im of rho_ij) are scaled by |rho_ij|.  The bin runs in the
-displaced frame (see `propagate`) and opens at the coupling's right limit:
-at t0 itself the generator is evaluated just after t0, where g = -g_max, so
-the first stage and the starting-step rule see the open bin instead of the
-closed-bin g(t0) = 0.  The output grid records the emitter populations and
-the lab-frame cavity occupation: after each accepted step that passes grid
+of a pair (Re, Im of rho_ij) are scaled by |rho_ij|.
+
+The bin runs in the displaced frame (see `propagate`) as constant pieces that
+solve the clamped coupling g(t) of `model.mode_gv` exactly.  With s = t - t0,
+G = g_max and s_c = min(1/G^2, tau):
+
+1. the clamp (0, s_c] steps L0 - G L1 + G^2 L2;
+2. where s_c < tau, the cavity loss channel of transmissivity eta = s_c/tau,
+   exp(ln(1/eta) D[b']), follows in closed form (`_cavity_loss`);
+3. the tail (s_c, tau] steps L0 + c L1 with c = -1/sqrt(tau), without L2.
+
+On the cascade moments Y_pq = Tr_c[b'+^p b'^q rho], L2 = D[b'] is the
+diagonal -(p+q)/2 and L1 raises p + q by exactly one.  So the state Z of the
+tail carries the clamped model's moments as Y_pq(s) = (tau/s)^((p+q)/2) Z_pq(s):
+the factor removes g^2 L2 = L2/s and turns g = -1/sqrt(s) into c.  At s_c the
+loss step gives Z its moments eta^((p+q)/2) Y_pq, and at s = tau, where rho_v
+is read, Z = Y.  Z is the state of a frame of amplitude sqrt(s/tau) beta(s),
+beta being `model.frame_amplitude`.
+
+The output grid records the emitter populations, which Z and Y share, and
+the lab-frame cavity occupation, which on the tail reads <b'> scaled by
+sqrt(tau/s) and n' by tau/s: after each accepted step that passes grid
 times, the solver's dense output is built for the entries those two read
 alone (the diagonal of rho and, in the bin, the coordinates of <b'>), and
 all the step's grid times before its end are evaluated in one contraction
 (one on the end reads the state); the full state is never interpolated.
 Positivity is checked on accepted step ends: for each of POSITIVITY_SAMPLES
 evenly spaced times, the first step end at or after it, one state per step.
-Neither the stepper, the sampler nor the frame change makes a BLAS call, so
-the result is bit-identical at any BLAS thread count.  The tableau is
-`_dop853`, SciPy's coefficients bit for bit.
+Neither the stepper, the sampler, the loss step nor the frame change makes a
+BLAS call, so the result is bit-identical at any BLAS thread count.  The
+tableau is `_dop853`, SciPy's coefficients bit for bit.
 """
 
 from __future__ import annotations
@@ -293,26 +309,38 @@ def _integrate_segment(fun, num: Numerics, t_start: float, t_end: float, y0: np.
     return solver.y
 
 
-def _opened_at(gen: Generator, t0: float):
-    """The in-bin RHS, taking g's right limit at the opening t0 itself.
+def _cavity_loss(x: np.ndarray, levels: int, eta: float) -> np.ndarray:
+    """exp(ln(1/eta) D[b]) on the Hermitian coordinates ``x`` of an emitter (x)
+    cavity state with ``levels`` emitter levels: the cavity loss channel of
+    transmissivity eta, which scales every moment <b+^p b^q> by eta^((p+q)/2).
 
-    ``mode_gv`` excludes t0 from the bin, so g(t0) = 0.  Seen from there, the
-    first stage and the starting-step rule size the first step for a closed
-    bin, and the controller then rejects it about twenty times.
+    Its Kraus form gives rho'_{(e,m),(f,n)} = sum_k w_k[m] w_k[n]
+    rho_{(e,m+k),(f,n+k)} with w_k[m]^2 = C(m+k, k) eta^m (1 - eta)^k, each at
+    most 1.  The weights are real and the shift keeps the order of every index
+    pair, so the coordinates transform as rho does.  Elementwise, no BLAS.
     """
-    t_open = float(np.nextafter(t0, np.inf))
-    return lambda t, y: gen.rhs(max(t, t_open), y)
+    cav = math.isqrt(x.size) // levels
+    X = x.reshape(levels, cav, levels, cav)
+    out = np.zeros_like(X)
+    w = eta ** (np.arange(cav) / 2)
+    for k in range(cav):
+        if k:
+            w = w[:-1] * np.sqrt(np.arange(k, cav) / k * (1 - eta))
+        out[:, :cav - k, :, :cav - k] += (w[:, None] * w)[:, None, :] * X[:, k:, :, k:]
+    return out.reshape(-1)
 
 
 def _collector(grid: np.ndarray, pops: np.ndarray, cav: np.ndarray, gen: Generator,
-               levels: int, frame=None):
+               levels: int, frame=None, scale=None):
     """``(keep, collect)`` for `_integrate_segment`: the Hermitian coordinates
     the output grid reads, and ``collect(ts, yk)``, which writes the emitter
     populations at the grid points of the times ``ts`` into ``pops`` from the
     rows ``yk`` of those coordinates.  Given the frame amplitude ``frame(t)``
     it also puts the lab-frame cavity occupation n' + 2 Re(beta* <b'>) + |beta|^2
-    into ``cav``, from the in-frame <b'+ b'> and <b'>.  Every contraction is an
-    ``np.einsum`` without ``optimize``, so none calls BLAS."""
+    into ``cav``, from the in-frame <b'+ b'> and <b'>; ``scale(ts)`` = r, where
+    given, reads them off a state whose moments are r^-(p+q) times the
+    occupation's, as r^2 n' and r <b'>.  Every contraction is an ``np.einsum``
+    without ``optimize``, so none calls BLAS."""
     d = gen.dim
     pop_diags = np.real([p.diagonal() for p in gen.ops["pops"]]).reshape(-1, d)
     cav_diag = np.tile(np.arange(d // levels, dtype=float), levels)
@@ -328,8 +356,11 @@ def _collector(grid: np.ndarray, pops: np.ndarray, cav: np.ndarray, gen: Generat
         if frame is not None:
             beta = np.array([frame(t) for t in ts])
             b_mean = np.einsum("sk,k->s", yk[:, d:], b_weights)
-            cav[i] = (np.einsum("sd,d->s", diag, cav_diag)
-                      + 2 * (np.conj(beta) * b_mean).real + np.abs(beta) ** 2)
+            n_in = np.einsum("sd,d->s", diag, cav_diag)
+            if scale is not None:
+                r = scale(ts)
+                b_mean, n_in = r * b_mean, r * r * n_in
+            cav[i] = n_in + 2 * (np.conj(beta) * b_mean).real + np.abs(beta) ** 2
     return keep, collect
 
 
@@ -341,8 +372,9 @@ def propagate(cfg: SystemConfig, bin: BinSpec, *, verify_cutoff: bool = False) -
     the segment before t0 runs on the emitters alone.  The bin runs in the
     displaced frame b = beta(t) + b' of `model.frame_amplitude`, where the
     cavity holds only the few photons the emitters add to the coherent
-    background.  Its cavity cutoff starts at 2M + 7 and doubles, rerunning
-    only the bin, until the top level holds at most TOP_LEVEL_ATOL_FRAC * atol;
+    background, in the constant pieces of the module docstring.  Its cavity
+    cutoff starts at 2M + 7 and doubles, rerunning only the bin, until the
+    top level holds at most TOP_LEVEL_ATOL_FRAC * atol;
     past ``dim_limit`` that raises CutoffConvergenceError.  ``rho_v`` is the
     lab-frame state D(beta) rho' D(beta)+ on the Fock levels up to
     `resolve_cutoff`, renormalized to unit trace; dropping more than
@@ -370,7 +402,7 @@ def propagate(cfg: SystemConfig, bin: BinSpec, *, verify_cutoff: bool = False) -
     pre_checks: list[np.ndarray] = []
     t_wall = time.perf_counter()
     y = _integrate_segment(
-        gen_e.rhs, num, 0.0, bin.t0, y, grid[grid <= bin.t0],
+        lambda t, x: gen_e.rhs(x), num, 0.0, bin.t0, y, grid[grid <= bin.t0],
         _collector(grid, pops, cav, gen_e, levels),
         [t for t in check_times if t <= bin.t0], pre_checks, counters,
     )
@@ -379,6 +411,14 @@ def propagate(cfg: SystemConfig, bin: BinSpec, *, verify_cutoff: bool = False) -
     rho_e = hermitian_matrix(y)
 
     frame = functools.partial(frame_amplitude, cfg, bin)
+    G = bin.g_max_phys(cfg.kappa)
+    s_c = min(1.0 / (G * G), bin.tau)  # the clamp's end, bin time
+    t_c = bin.t0 + s_c if s_c < bin.tau else bin.t_end
+    c = -1.0 / math.sqrt(bin.tau)  # the tail's coupling
+
+    def gain(ts):  # sqrt(tau/s): from the tail state's moments to the clamped model's
+        return np.sqrt(bin.tau / (ts - bin.t0))
+
     top_tol = TOP_LEVEL_ATOL_FRAC * num.atol
     cut_max = num.dim_limit // levels - 1
     cut = min(2 * cfg.M + 7, cut_max)
@@ -390,13 +430,20 @@ def propagate(cfg: SystemConfig, bin: BinSpec, *, verify_cutoff: bool = False) -
         counters.assemble_s += time.perf_counter() - t_gen
         vac = np.zeros((cut + 1, cut + 1), dtype=complex)
         vac[0, 0] = 1.0
-        y_t0 = hermitian_coords(np.kron(rho_e, vac))
+        y = hermitian_coords(np.kron(rho_e, vac))
         bin_checks: list[np.ndarray] = []
-        y = _integrate_segment(
-            _opened_at(gen, bin.t0), num, bin.t0, bin.t_end, y_t0,
-            grid[grid > bin.t0], _collector(grid, pops, cav, gen, levels, frame),
-            [t for t in check_times if t > bin.t0], bin_checks, counters,
-        )
+        pieces = [(bin.t0, t_c, (-G, G * G), None)]  # (start, end, (g, g^2), scale)
+        if t_c < bin.t_end:
+            pieces.append((t_c, bin.t_end, (c,), gain))
+        for t_a, t_b, g, scale in pieces:
+            if t_a == t_c:  # the tail starts after the loss step
+                y = _cavity_loss(y, levels, s_c / bin.tau)
+            y = _integrate_segment(
+                lambda t, x: gen.rhs(x, *g), num, t_a, t_b, y,
+                grid[(grid > t_a) & (grid <= t_b)],
+                _collector(grid, pops, cav, gen, levels, frame, scale),
+                [t for t in check_times if t_a < t <= t_b], bin_checks, counters,
+            )
         bin_runs += 1
         p = y[:: gen.dim + 1].reshape(levels, cut + 1).sum(axis=0)
         if abs(p[-1]) <= top_tol:

@@ -18,7 +18,7 @@ mode, the Liouvillian's only time dependence.  `build_hamiltonian` and
 `build_jump_operators` state it in the lab frame, `liouvillian_apply` applies
 it in operator form, and `Generator` expands it into L0 + g L1 + g^2 L2 in the
 displaced frame of `frame_amplitude`, kept in the real form on the Hermitian
-coordinates of `hilbert.hermitian_coords` as one real matrix [R0 | R1 | R2].
+coordinates of `hilbert.hermitian_coords` as one real matrix [R0; R1; R2].
 All three share one Lindblad form, d rho/dt = K rho + rho K+ + sum r J rho J+
 with K = -i H - sum r J+J / 2: K and the jumps are polynomials in g, so each
 Lk is the K pair of Kk plus the jump sandwiches of order k.  Two caches, pure
@@ -375,14 +375,15 @@ def _drive_free(physics: tuple, cav_dim: int):
 
 @lru_cache(maxsize=16)
 def _superoperators(alpha: complex, physics: tuple, cav_dim: int):
-    """(L, ops) of `Generator`, L = [R0 | R1 | R2] the real form of L0, L1, L2
-    for the drive ``alpha`` (units sqrt(kappa)) and ``physics`` of `_physics`;
-    cached without the bin, which enters only via g(t).  Only L0's K pair is
-    built here, from -i V0 and `_drive_free`'s K0; the rest is cached there."""
+    """(L, ops) of `Generator`, L = [R0; R1; R2] the real form of L0, L1, L2
+    stacked by rows, for the drive ``alpha`` (units sqrt(kappa)) and
+    ``physics`` of `_physics`; cached without the bin, which enters only via
+    g(t).  Only L0's K pair is built here, from -i V0 and `_drive_free`'s K0;
+    the rest is cached there."""
     K0, ops, S0, R1, R2 = _drive_free(physics, cav_dim)
     V0 = _drive(complex(alpha) * math.sqrt(physics[0]), ops["S"], math.sqrt(physics[0]))
     R0 = real_form(_k_pair(K0 - 1j * V0) + S0)
-    return sp.hstack([R0, R1, R2], format="csr"), ops
+    return sp.vstack([R0, R1, R2], format="csr"), ops
 
 
 class Generator:
@@ -395,10 +396,10 @@ class Generator:
       K1 = -i Hc - sum r (A+B + B+A) / 2,        L1: sum r (A . B+ + B . A+),
       K2 = -sum r B+B / 2,                       L2: sum r B . B+.
     Channels at rate zero are skipped.  ``L`` holds the three in real form,
-    [R0 | R1 | R2] with Rk = T Lk T^-1 on the Hermitian coordinates x of
-    `hilbert.hermitian_coords`, so that `rhs` is one real mat-vec; ``L0``,
-    ``L1`` and ``L2`` read its blocks.  The stack is shared by every bin of the
-    same drive, physics and cavity dimension.
+    [R0; R1; R2] stacked by rows, with Rk = T Lk T^-1 on the Hermitian
+    coordinates x of `hilbert.hermitian_coords`, so that `rhs` is one real
+    mat-vec; ``L0``, ``L1`` and ``L2`` read its blocks.  The stack is shared by
+    every bin of the same drive, physics and cavity dimension.
     """
 
     def __init__(self, cfg: SystemConfig, bin: BinSpec, cav_dim: int):
@@ -407,10 +408,17 @@ class Generator:
         check_dim(cfg, cav_dim)
         self.L, self.ops = _superoperators(cfg.alpha, _physics(cfg), cav_dim)
         self.dim = self.ops["dim"]
+        n = self.dim**2
+        # [R0; R1], the leading rows of L on L's own arrays, so no block is
+        # copied; scipy would copy a head of less than half of L's entries,
+        # which only the empty head of M = 0 is
+        L = self.L
+        self._head = sp.csr_matrix((L.data, L.indices, L.indptr[:2 * n + 1]), shape=(2 * n, n),
+                                   copy=False)
 
     def _block(self, k: int):
         n = self.dim**2
-        return self.L[:, k * n:(k + 1) * n]
+        return self.L[k * n:(k + 1) * n]
 
     L0 = property(lambda self: self._block(0))
     L1 = property(lambda self: self._block(1))
@@ -419,14 +427,20 @@ class Generator:
     def g(self, t: float) -> float:
         return mode_gv(self.bin, t, self.cfg.kappa).real
 
-    def rhs(self, t: float, x: np.ndarray) -> np.ndarray:
-        """d x/dt on the Hermitian coordinates: (R0 + g R1 + g^2 R2) x in one product."""
-        g = self.g(t)
-        return self.L @ np.concatenate((x, g * x, (g * g) * x))
+    def rhs(self, x: np.ndarray, g: float = 0.0, g2: float = 0.0) -> np.ndarray:
+        """(R0 + g R1 + g2 R2) x on the Hermitian coordinates, from one mat-vec;
+        with g2 = 0 it runs on [R0; R1] alone and skips R2's entries."""
+        n = x.size
+        if g2 == 0:
+            u = self._head @ x
+            return u[:n] + g * u[n:]
+        u = self.L @ x
+        return u[:n] + g * u[n:2 * n] + g2 * u[2 * n:]
 
     def apply_vec(self, t: float, y: np.ndarray) -> np.ndarray:
         """L(t) vec(rho) for the row-major vec of a Hermitian rho."""
-        return hermitian_matrix(self.rhs(t, hermitian_coords(y))).reshape(-1)
+        g = self.g(t)
+        return hermitian_matrix(self.rhs(hermitian_coords(y), g, g * g)).reshape(-1)
 
 
 def get_generator(cfg: SystemConfig, bin: BinSpec, cav_dim: int | None = None) -> Generator:

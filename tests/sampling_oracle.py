@@ -85,9 +85,10 @@ def segment(fun, num, t_start, t_end, y0, sample_times, collect, check_times, ch
     return solver.y
 
 
-def collector(grid, pops, cav, gen, levels, frame=None):
+def collector(grid, pops, cav, gen, levels, frame=None, scale=None):
     """Scalar ``collect(t, x)`` on the full Hermitian coordinates ``x``, as
-    `integrator._collector` writes; it reads the density matrix they give."""
+    `integrator._collector` writes; it reads the density matrix they give,
+    and with ``scale`` = r the moments r^2 n' and r <b'> off it."""
     d = gen.dim
     pop_diags = [np.real(p.diagonal()) for p in gen.ops["pops"]]
     cav_diag = np.tile(np.arange(d // levels, dtype=float), levels)
@@ -101,8 +102,8 @@ def collector(grid, pops, cav, gen, levels, frame=None):
         for k, pd in enumerate(pop_diags):
             pops[i, k] = float(np.sum(diag * pd))
         if frame is not None:
-            beta = frame(t)
-            b_mean = np.sum(b.data * y[b_at])
-            cav[i] = (float(np.sum(diag * cav_diag)) + 2 * (np.conj(beta) * b_mean).real
+            beta, r = frame(t), 1.0 if scale is None else scale(t)
+            b_mean = r * np.sum(b.data * y[b_at])
+            cav[i] = (r * r * float(np.sum(diag * cav_diag)) + 2 * (np.conj(beta) * b_mean).real
                       + abs(beta) ** 2)
     return collect

@@ -102,6 +102,61 @@ def test_frame_amplitude_matches_lab(cfg, b):
     assert trace_distance(propagate(cfg, b).rho_v.mat, rho_v) <= 1e-8
 
 
+@pytest.mark.parametrize("M", [1, 2])
+def test_cavity_loss_matches_expm(M):
+    # The bin's loss step, exp(ln(1/eta) D[b]) in closed form, against expm of
+    # the dense D[b] superoperator on random emitter (x) cavity states.  In the
+    # lab frame it takes a state displaced by beta to one displaced by
+    # sqrt(eta) beta, so the tail's frame starts at sqrt(eta) beta(s_c) and runs
+    # on as sqrt(s / tau) frame_amplitude(t).
+    from scipy.linalg import expm
+
+    from lab_oracle import displacement_operator
+
+    from cwlsim.hilbert import annihilation, hermitian_coords, hermitian_matrix
+    from cwlsim.integrator import _cavity_loss
+
+    def loss(rho, levels, eta):
+        return hermitian_matrix(_cavity_loss(hermitian_coords(rho), levels, eta))
+
+    def random_state(d):
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        rho = a @ a.conj().T
+        return rho / np.trace(rho)
+
+    levels, cav = 2**M, 6
+    d = levels * cav
+    b = np.kron(np.eye(levels), annihilation(cav - 1).toarray())
+    n, eye = b.conj().T @ b, np.eye(d)
+    # row-major vec: vec(X rho Y) = kron(X, Y^T) vec(rho)
+    D = np.kron(b, b.conj()) - 0.5 * np.kron(n, eye) - 0.5 * np.kron(eye, n.T)
+    rng = np.random.default_rng(7 + M)
+    cfg, bin = SystemConfig(alpha=0.7, M=M), BinSpec(t0=0.5, tau=1.0, g_max=2.0)
+    s_c = 1.0 / bin.g_max_phys(cfg.kappa) ** 2
+    beta = frame_amplitude(cfg, bin, bin.t0 + s_c)
+    big = 40  # displace on a far larger Fock space, exact on its low levels
+    Db = displacement_operator(beta, big - 1)
+    for eta in (1e-7, 1e-3, 0.5):
+        P = expm(math.log(1 / eta) * D)
+        for _ in range(2):
+            rho = random_state(d)
+            ref = (P @ rho.reshape(-1)).reshape(d, d)
+            assert np.max(np.abs(loss(rho, levels, eta) - ref)) <= 1e-12
+        pad = np.zeros((levels, big, levels, big), dtype=complex)
+        pad[:, :cav, :, :cav] = random_state(d).reshape(levels, cav, levels, cav)
+        pad = pad.reshape(levels * big, levels * big)
+        shift = np.kron(np.eye(levels), Db)
+        shift_eta = np.kron(np.eye(levels), displacement_operator(math.sqrt(eta) * beta, big - 1))
+        lab = loss(shift @ pad @ shift.conj().T, levels, eta)
+        framed = shift_eta @ loss(pad, levels, eta) @ shift_eta.conj().T
+        assert np.max(np.abs(lab - framed)) <= 1e-12
+    eta = s_c / bin.tau
+    for s in (s_c, 0.3, 0.7, bin.tau):
+        tail = math.sqrt(s / bin.tau) * frame_amplitude(cfg, bin, bin.t0 + s)
+        closed = math.sqrt(eta) * beta + cfg.alpha_phys * (s - s_c) / math.sqrt(bin.tau)
+        assert abs(tail - closed) <= 1e-15
+
+
 _ORACLE_CASES = [pytest.param(SystemConfig(alpha=a, M=1), b, id=f"drive{a}")
                  for a, b in DRIVE_SERIES] + [
     pytest.param(SystemConfig(alpha=NOISE_DRIVE, M=1, gamma_D=0.5), NOISE_BIN, id="noise"),
@@ -144,9 +199,9 @@ def test_cutoff_growth_counts_every_attempt(monkeypatch):
     calls = []  # generator dimension per call
     rhs = Generator.rhs
 
-    def counting(self, t, y):
+    def counting(self, x, *g):
         calls.append(self.dim)
-        return rhs(self, t, y)
+        return rhs(self, x, *g)
 
     monkeypatch.setattr(Generator, "rhs", counting)
     cfg = SystemConfig(alpha=SINGLE_DRIVE, M=1)
@@ -229,9 +284,9 @@ def test_n_rhs_counts_every_generator_call(monkeypatch):
     calls = []
     rhs = Generator.rhs
 
-    def counting(self, t, y):
-        calls.append(t)
-        return rhs(self, t, y)
+    def counting(self, x, *g):
+        calls.append(g)
+        return rhs(self, x, *g)
 
     monkeypatch.setattr(Generator, "rhs", counting)
     diag = propagate(SystemConfig(alpha=0.6, M=1), BinSpec(t0=0.4, tau=0.9)).diagnostics
@@ -300,6 +355,7 @@ def test_stepper_matches_scipy_dop853(case):
     # scipy's DOP853 steps the complex vec(rho); the own stepper steps the
     # real Hermitian coordinates, whose weighted RMS error norm is the same
     from cwlsim.hilbert import hermitian_coords, hermitian_matrix
+    from cwlsim.integrator import _cavity_loss
     from cwlsim.model import get_generator
 
     cfg, b, pre_tol = case()
@@ -313,7 +369,8 @@ def test_stepper_matches_scipy_dop853(case):
     y0 = np.zeros(gen_pre.dim**2, dtype=complex)
     y0[0] = 1.0
     ref_pre, n_pre = _scipy_segment(gen_pre.apply_vec, num, 0.0, b.t0, y0)
-    own_pre, n_own = _own_segment(gen_pre.rhs, num, 0.0, b.t0, hermitian_coords(y0))
+    own_pre, n_own = _own_segment(lambda t, x: gen_pre.rhs(x), num, 0.0, b.t0,
+                                  hermitian_coords(y0))
     assert n_own == n_pre
     assert rel(own_pre, ref_pre) < pre_tol
 
@@ -324,14 +381,26 @@ def test_stepper_matches_scipy_dop853(case):
     vac[0, 0] = 1.0
     y_t0 = np.kron(ref_pre.reshape(gen_pre.dim, gen_pre.dim), vac).reshape(-1)
     gen = get_generator(cfg, b, cav_dim)
-    t_open = np.nextafter(b.t0, np.inf)  # the bin opens at g's right limit
-
-    ref_bin, n_bin = _scipy_segment(lambda t, y: gen.apply_vec(max(t, t_open), y),
-                                    num, b.t0, b.t_end, y_t0)
-    own_bin, n_own = _own_segment(lambda t, x: gen.rhs(max(t, t_open), x),
-                                  num, b.t0, b.t_end, hermitian_coords(y_t0))
-    assert n_own == n_bin
-    assert rel(own_bin, ref_bin) < 1e-12
+    # the bin's constant pieces, each with the same RHS on both sides: the clamp
+    # at g = -g_max, the cavity loss of transmissivity s_c / tau, the tail at
+    # g = -1/sqrt(tau) without R2
+    G = b.g_max_phys(cfg.kappa)
+    s_c = 1.0 / (G * G)
+    t_c = b.t0 + s_c
+    ref, own = y_t0, hermitian_coords(y_t0)
+    n_bin = 0
+    for t_a, t_b, g in [(b.t0, t_c, (-G, G * G)), (t_c, b.t_end, (-1.0 / math.sqrt(b.tau),))]:
+        if t_a > b.t0:
+            eta = s_c / b.tau
+            ref = hermitian_matrix(_cavity_loss(hermitian_coords(ref), gen_pre.dim, eta))
+            own = _cavity_loss(own, gen_pre.dim, eta)
+        ref, n_ref = _scipy_segment(
+            lambda t, y: hermitian_matrix(gen.rhs(hermitian_coords(y), *g)).reshape(-1),
+            num, t_a, t_b, ref.reshape(-1))
+        own, n_own = _own_segment(lambda t, x: gen.rhs(x, *g), num, t_a, t_b, own)
+        assert n_own == n_ref
+        n_bin += n_ref
+    assert rel(own, ref) < 1e-12
     assert diag.n_steps == n_pre + n_bin
 
 
@@ -355,12 +424,14 @@ def test_bin_matches_tight_reference(cfg, b):
 
 
 def test_bin_opening_costs_few_steps():
-    # The bin opens at g's right limit, with no step cap: the starting-step
-    # rule sizes the first in-bin step for the open bin.  Capped at 2 % of
-    # tau and opened at g(t0) = 0 this run took 1594 RHS calls, 23 rejected.
+    # The bin runs as constant pieces, with no step cap: the clamp, one cavity
+    # loss step, then the tail's constant generator.  Capped at 2 % of tau and
+    # opened at g(t0) = 0 this run took 1594 RHS calls, 23 rejected; stepping
+    # the clamped g(t) itself from its right limit at t0, 653 in the bin.
     diag = propagate(METRO_SINGLE_CFG, METRO_SINGLE_BIN).diagnostics
     assert diag.n_rhs <= 1000
     assert diag.n_rejected <= 12
+    assert diag.n_rhs_bin <= 200
 
 
 def test_positivity_samples_are_step_ends(monkeypatch):
@@ -378,9 +449,9 @@ def test_positivity_samples_are_step_ends(monkeypatch):
         ends.append((self.t, self.y.copy()))
 
     def recording_segment(*args):
-        first = len(ends)
+        first, n_out = len(ends), len(args[8])
         y = segment(*args)
-        check_times, check_out = args[7], args[8]
+        check_times, check_out = args[7], args[8][n_out:]  # the pieces share one list
         segments.append((ends[first:], check_times, check_out))
         return y
 
@@ -398,7 +469,7 @@ def test_positivity_samples_are_step_ends(monkeypatch):
         for sample, i in zip(check_out, firsts):
             assert np.array_equal(sample, seg_ends[i][1])
         n_checks += len(check_times)
-    assert len(segments) == 2
+    assert len(segments) == 3  # before the bin, the clamp, the tail
     assert n_checks == integrator.POSITIVITY_SAMPLES
 
 
@@ -448,7 +519,7 @@ def test_samples_on_step_ends_read_the_state(monkeypatch):
     traj = propagate(dataclasses.replace(METRO_SINGLE_CFG, numerics=two), METRO_SINGLE_BIN)
     diag = traj.diagnostics
     assert calls == []
-    assert diag.n_rhs == 664
+    assert diag.n_rhs == 162
     assert diag.n_steps == full.diagnostics.n_steps
     assert diag.n_rhs == full.diagnostics.n_rhs - 3 * n_dense
     assert np.array_equal(traj.rho_v.mat, full.rho_v.mat)

@@ -12,7 +12,8 @@ from cwlsim.integrator import propagate
 from cwlsim.model import (BinSpec, SystemConfig, _drive_free, _superoperators, build_hamiltonian,
                           build_jump_operators, get_generator, liouvillian_apply,
                           mode_gv, resolve_cutoff)
-from cwlsim.presets import METRO_SINGLE_BIN, METRO_SINGLE_CFG, PARITY_BIN, PARITY_DRIVE
+from cwlsim.presets import (METRO_PAIR_BIN, METRO_PAIR_CFG, METRO_SINGLE_BIN, METRO_SINGLE_CFG,
+                            PARITY_BIN, PARITY_DRIVE)
 
 
 def test_mode_gv_end_of_unit_bin():
@@ -289,8 +290,21 @@ def test_generator_superoperators_shared_across_bins():
     cfg = SystemConfig(alpha=0.5, M=1)
     a, b = BinSpec(t0=1.0, tau=2.0), BinSpec(t0=3.0, tau=0.5)
     ga, gb = get_generator(cfg, a, 9), get_generator(cfg, b, 9)
-    assert ga.L is gb.L and ga.ops is gb.ops  # the stacked real form [R0 | R1 | R2]
+    assert ga.L is gb.L and ga.ops is gb.ops  # the stacked real form [R0; R1; R2]
     assert ga.g(2.0) == mode_gv(a, 2.0).real and gb.g(2.0) == 0.0  # each bin keeps its g(t)
+
+
+def test_rhs_without_r2_reads_the_stack_in_place():
+    # the bin's tail steps R0 + c R1 on the leading rows of L itself: R2's
+    # entries are skipped and no block is copied
+    gen = get_generator(METRO_PAIR_CFG, METRO_PAIR_BIN, 11)
+    assert np.shares_memory(gen._head.data, gen.L.data)
+    assert np.shares_memory(gen._head.indices, gen.L.indices)
+    x = np.random.default_rng(3).normal(size=gen.dim**2)
+    R0, R1, R2 = gen.L0, gen.L1, gen.L2
+    for g, g2 in ((0.0, 0.0), (-0.4, 0.0), (-30.0, 900.0)):
+        ref = R0 @ x + g * (R1 @ x) + g2 * (R2 @ x)
+        assert np.max(np.abs(gen.rhs(x, g, g2) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_generator_of_a_run_is_the_one_it_stepped_on():
