@@ -10,7 +10,10 @@ bits.  Three sections:
   (data, indices, indptr of each, so the hash does not depend on how the
   blocks are stacked) of 42 generators, 7 physics x 3 drives x cavity dimension 1 (the emitters
   alone) and 4 (the displaced frame), each built on empty caches ("cold") and
-  after the other two drives of the same physics ("warm").
+  after the other two drives of the same physics ("warm").  Each dimension-4
+  generator adds a ``vacuum`` line, the same hash of its cavity-vacuum block
+  (`Generator.vacuum`), which must equal the ``dim=1`` line of its physics
+  and drive.
 - ``preset``: 15 preset propagations, cold and after a propagation of the same
   physics at another drive and bin ("warm"): ``rho_v``, the output-grid
   samples and the step counters.
@@ -68,10 +71,11 @@ def generators() -> None:
     for name, physics in PHYSICS.items():
         for cav_dim in (1, 4):
             for alpha in DRIVES:
-                def bits(a):
+                def bits(a):  # of the generator and of its vacuum block
                     gen = get_generator(SystemConfig(alpha=a, **physics), b, cav_dim)
-                    return digest(*(arr for L in (gen.L0, gen.L1, gen.L2)
-                                    for arr in (L.data, L.indices, L.indptr)))
+                    return [digest(*(arr for L in (g.L0, g.L1, g.L2)
+                                     for arr in (L.data, L.indices, L.indptr)))
+                            for g in (gen, gen.vacuum())]
 
                 clear_caches()
                 cold = bits(alpha)
@@ -79,8 +83,12 @@ def generators() -> None:
                 for other in DRIVES:
                     if other != alpha:
                         bits(other)
+                warm = bits(alpha)
                 print(f"generator {name} dim={cav_dim} alpha={alpha}"
-                      f" cold={cold} warm={bits(alpha)}")
+                      f" cold={cold[0]} warm={warm[0]}")
+                if cav_dim > 1:
+                    print(f"generator {name} vacuum alpha={alpha}"
+                          f" cold={cold[1]} warm={warm[1]}")
 
 
 def presets() -> None:

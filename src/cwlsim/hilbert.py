@@ -2,8 +2,10 @@
 
 Composite spaces are ordered emitter 1 (x) ... (x) emitter M (x) cavity, with
 the cavity always last.  Operators are kept sparse (CSR), density matrices
-dense.  A Fock space with cutoff ``c`` retains the levels ``0..c`` and has
-dimension ``c + 1``.  The displacement D(beta) has one form,
+dense; `kron`, the CSR Kronecker product of `tensor` and of the generator's
+superoperators, is scipy's bit for bit without its COO round trip.  A Fock
+space with cutoff ``c`` retains the levels ``0..c`` and has dimension
+``c + 1``.  The displacement D(beta) has one form,
 `displacement_block`: the exact elements <m|D(beta)|n> of the untruncated
 operator on any rows and columns, so a state displaced into a finite space
 loses only the weight it puts above the cutoff.
@@ -49,7 +51,59 @@ def tensor(ops: Sequence):
         return out
     out = ops[0]
     for op in ops[1:]:
-        out = sp.kron(out, op, format="csr")
+        out = kron(out, op)
+    return out
+
+
+def _sorted_csr(X):
+    """``X`` as CSR with sorted indices, copied only where it must change."""
+    X = X if sp.issparse(X) and X.format == "csr" else sp.csr_matrix(X)
+    if not X.has_sorted_indices:
+        X = X.copy()
+        X.sort_indices()
+    return X
+
+
+def kron(A, B, scale=None):
+    """The Kronecker product A (x) B as CSR, times ``scale`` where given: bit
+    for bit ``scale * scipy.sparse.kron(A, B, format="csr")`` for operands
+    without duplicate entries, without scipy's COO round trip.
+
+    Each entry is A[i, j] B[k, l] from scipy's own product expression, then
+    times ``scale``.  The entries are put straight in their CSR places: row
+    (i, k) lists A's row i in order, each with B's row k, which is sorted by
+    column when both operands are; unsorted operands are sorted first.  An
+    empty product is float, as scipy's is.
+    """
+    A, B = _sorted_csr(A), _sorted_csr(B)
+    (m, n), (p, q) = A.shape, B.shape
+    shape = (m * p, n * q)
+    if A.nnz == 0 or B.nnz == 0:
+        out = sp.csr_matrix(shape)
+    else:
+        idx = np.int32 if max(*shape, A.nnz * B.nnz) < 2**31 else np.int64
+        ia, ib = A.indptr.astype(idx), B.indptr.astype(idx)
+        na, nb = np.diff(ia), np.diff(ib)  # row lengths
+        indptr = np.zeros(m * p + 1, dtype=idx)
+        np.cumsum(np.outer(na, nb).reshape(-1), out=indptr[1:])
+        # scipy's entries: A's entry e (x) B's entry f at e B.nnz + f
+        data = (A.data.repeat(B.nnz).reshape(-1, B.nnz) * B.data).reshape(-1)
+        indices = (A.indices.astype(idx)[:, None] * q + B.indices).reshape(-1)
+        if na.max() > 1:  # else every e (x) f is in its CSR place already
+            # row (i, k) starts at ia[i] B.nnz + na[i] ib[k]; in it e (x) f
+            # follows e's place in row i times nb[k] entries, then f's place
+            # f - ib[k] in row k
+            row_a = np.repeat(np.arange(m, dtype=idx), na)
+            row_b = np.repeat(np.arange(p, dtype=idx), nb)
+            e_at = np.arange(A.nnz, dtype=idx) - ia[row_a]
+            at = ((ia[row_a] * B.nnz)[:, None] + np.arange(B.nnz, dtype=idx)
+                  + (na[row_a] - 1)[:, None] * ib[row_b] + e_at[:, None] * nb[row_b]).reshape(-1)
+            placed_data, placed_indices = np.empty_like(data), np.empty_like(indices)
+            placed_data[at], placed_indices[at] = data, indices
+            data, indices = placed_data, placed_indices
+        out = sp.csr_matrix((data, indices, indptr), shape=shape)
+    if scale is not None:
+        out.data = out.data * scale
     return out
 
 

@@ -87,10 +87,10 @@ class Diagnostics:
     n_rhs_pre: int  # of which in the emitter-only segment before t0
     n_rhs_bin: int  # of which in the bin [t0, t0 + tau]
     pre_bin_s: float  # wall time of the segment before t0
-    bin_s: float  # wall time of the in-bin segment, its generator lookups included
-    assemble_s: float  # wall time in get_generator, cached lookups included
+    bin_s: float  # wall time of the in-bin segment, the generators of grown cutoffs included
+    assemble_s: float  # wall time in get_generator and Generator.vacuum, cached lookups included
     n_rejected: int  # rejected step attempts
-    h_min: float  # smallest accepted step, steps cut short at a segment end excepted
+    h_min: float  # smallest step the error control chose; a run with none, its smallest step
     trace_drift_max: float
     positivity_min: float  # smallest eigenvalue of the step-end samples, pre-bin and last attempt
     hermiticity_max: float  # of the final state; 0 by construction on Hermitian coordinates
@@ -106,6 +106,7 @@ class _Counters:
     bin_s: float = 0.0
     assemble_s: float = 0.0
     h_min: float = math.inf
+    h_end: float = math.inf  # smallest segment-ending step, cut to land on the segment's end
     trace_drift_max: float = 0.0
 
 
@@ -282,9 +283,11 @@ def _integrate_segment(fun, num: Numerics, t_start: float, t_end: float, y0: np.
     while solver.t < t_end:
         solver.step()
         n_steps += 1
-        # the last step is cut short to land on t_end: it says nothing of h
-        if solver.t < t_end or n_steps == 1:
+        # the last step is cut to land on t_end: its length is not the error control's
+        if solver.t < t_end:
             counters.h_min = min(counters.h_min, solver.h)
+        else:
+            counters.h_end = min(counters.h_end, solver.h)
         drift = abs(np.sum(solver.y[diag_idx]) - 1.0)
         counters.trace_drift_max = max(counters.trace_drift_max, drift)
         if drift > TRACE_DRIFT_TOL:
@@ -369,7 +372,12 @@ def propagate(cfg: SystemConfig, bin: BinSpec, *, verify_cutoff: bool = False) -
 
     The initial state is all emitters in G with the cavity in vacuum.  While
     the bin is closed the cavity is exactly decoupled and stays in vacuum, so
-    the segment before t0 runs on the emitters alone.  The bin runs in the
+    the segment before t0 runs on the emitters alone, on the cavity-vacuum
+    block of the bin's first generator (`model.Generator.vacuum`), which is
+    the emitters' generator bit for bit: a run assembles one generator, not
+    two.  Cold, on a 2-core box, METRO_CRB's run spends 7.3 ms in assembly
+    against 18 ms for both, parity M=3's 36 against 54 ms
+    (``BENCH_oneasm.json``).  The bin runs in the
     displaced frame b = beta(t) + b' of `model.frame_amplitude`, where the
     cavity holds only the few photons the emitters add to the coherent
     background, in the constant pieces of the module docstring.  Its cavity
@@ -394,8 +402,12 @@ def propagate(cfg: SystemConfig, bin: BinSpec, *, verify_cutoff: bool = False) -
     check_times = np.linspace(0.0, bin.t_end, POSITIVITY_SAMPLES + 1)[1:]
     counters = _Counters()
 
+    top_tol = TOP_LEVEL_ATOL_FRAC * num.atol
+    cut_max = num.dim_limit // levels - 1
+    cut = min(2 * cfg.M + 7, cut_max)
     t_wall = time.perf_counter()
-    gen_e = get_generator(cfg, bin, 1)
+    gen = get_generator(cfg, bin, cut + 1)
+    gen_e = gen.vacuum()
     counters.assemble_s += time.perf_counter() - t_wall
     y = np.zeros(levels * levels)
     y[0] = 1.0  # all emitters in G
@@ -419,15 +431,9 @@ def propagate(cfg: SystemConfig, bin: BinSpec, *, verify_cutoff: bool = False) -
     def gain(ts):  # sqrt(tau/s): from the tail state's moments to the clamped model's
         return np.sqrt(bin.tau / (ts - bin.t0))
 
-    top_tol = TOP_LEVEL_ATOL_FRAC * num.atol
-    cut_max = num.dim_limit // levels - 1
-    cut = min(2 * cfg.M + 7, cut_max)
     bin_runs = 0
     t_wall = time.perf_counter()
     while True:
-        t_gen = time.perf_counter()
-        gen = get_generator(cfg, bin, cut + 1)
-        counters.assemble_s += time.perf_counter() - t_gen
         vac = np.zeros((cut + 1, cut + 1), dtype=complex)
         vac[0, 0] = 1.0
         y = hermitian_coords(np.kron(rho_e, vac))
@@ -454,6 +460,9 @@ def propagate(cfg: SystemConfig, bin: BinSpec, *, verify_cutoff: bool = False) -
                 f"at cutoff {cut}, the largest dim_limit {num.dim_limit} allows"
             )
         cut = min(2 * cut, cut_max)
+        t_gen = time.perf_counter()
+        gen = get_generator(cfg, bin, cut + 1)
+        counters.assemble_s += time.perf_counter() - t_gen
     counters.bin_s = time.perf_counter() - t_wall
 
     # numpy's eigvalsh, as in DensityMatrix: in forked sweep workers at two
@@ -485,9 +494,13 @@ def propagate(cfg: SystemConfig, bin: BinSpec, *, verify_cutoff: bool = False) -
     rho_t0 = np.kron(rho_e, vac)
     # the spectrum of rho_e (x) |0><0| is rho_e's and zeros: solve the small factor
     t0_min = min(float(np.min(np.linalg.eigvalsh(rho_e))), 0.0)
+    counts = dataclasses.asdict(counters)
+    h_end = counts.pop("h_end")
+    if counts["h_min"] == math.inf:  # every step ended a segment
+        counts["h_min"] = h_end
     diag = Diagnostics(cutoff=cut, bin_runs=bin_runs, cutoff_check=float(abs(p[-1])),
                        output_leak=leak, n_rhs_bin=counters.n_rhs - counters.n_rhs_pre, positivity_min=pos_min,
-                       hermiticity_max=herm_max, **dataclasses.asdict(counters))
+                       hermiticity_max=herm_max, **counts)
     return Trajectory(
         times=grid,
         populations=pops,

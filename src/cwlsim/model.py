@@ -42,8 +42,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError
-from .hilbert import (annihilation, hermitian_coords, hermitian_matrix, identity, real_form,
-                      tensor)
+from .hilbert import (annihilation, hermitian_coords, hermitian_matrix, identity, kron,
+                      real_form, tensor)
 
 G_MAX_DEFAULT = 1.0e3  # clamp on |g| in units sqrt(kappa)
 
@@ -331,9 +331,9 @@ def check_dim(cfg: SystemConfig, cav_dim: int):
 # superoperator assembly (row-major vec convention)
 
 
-def _sandwich(X, Y):
-    """rho -> X rho Y+."""
-    return sp.kron(X, Y.conj(), format="csr")
+def _sandwich(X, Y, rate=None):
+    """rho -> X rho Y+, times ``rate`` where given."""
+    return kron(X, Y.conj(), rate)
 
 
 def _k_pair(K):
@@ -352,7 +352,7 @@ def _k_of(H, terms):
 
 def _sandwiches(terms):
     """sum r X . Y+ over the (r, X, Y) of ``terms``."""
-    return reduce(operator.add, (r * _sandwich(X, Y) for r, X, Y in terms))
+    return reduce(operator.add, (_sandwich(X, Y, r) for r, X, Y in terms))
 
 
 @lru_cache(maxsize=16)
@@ -399,20 +399,19 @@ class Generator:
     [R0; R1; R2] stacked by rows, with Rk = T Lk T^-1 on the Hermitian
     coordinates x of `hilbert.hermitian_coords`, so that `rhs` is one real
     mat-vec; ``L0``, ``L1`` and ``L2`` read its blocks.  The stack is shared by
-    every bin of the same drive, physics and cavity dimension.
+    every bin of the same drive, physics and cavity dimension; `get_generator`
+    looks it up, and `vacuum` takes the emitters' own generator from it.
     """
 
-    def __init__(self, cfg: SystemConfig, bin: BinSpec, cav_dim: int):
+    def __init__(self, cfg: SystemConfig, bin: BinSpec, L, ops):
         self.cfg = cfg
         self.bin = bin
-        check_dim(cfg, cav_dim)
-        self.L, self.ops = _superoperators(cfg.alpha, _physics(cfg), cav_dim)
-        self.dim = self.ops["dim"]
+        self.L, self.ops = L, ops
+        self.dim = ops["dim"]
         n = self.dim**2
         # [R0; R1], the leading rows of L on L's own arrays, so no block is
         # copied; scipy would copy a head of less than half of L's entries,
         # which only the empty head of M = 0 is
-        L = self.L
         self._head = sp.csr_matrix((L.data, L.indices, L.indptr[:2 * n + 1]), shape=(2 * n, n),
                                    copy=False)
 
@@ -423,6 +422,26 @@ class Generator:
     L0 = property(lambda self: self._block(0))
     L1 = property(lambda self: self._block(1))
     L2 = property(lambda self: self._block(2))
+
+    def vacuum(self) -> Generator:
+        """The emitters' own generator, ``get_generator(cfg, bin, 1)`` bit for
+        bit: the rows and columns of the stack on the coordinates where the
+        cavity is in vacuum on both sides.
+
+        L0 is the emitters' Liouvillian times the identity on the cavity, and
+        L1 and L2 move the cavity out of vacuum, so the block is the emitters'
+        L0 with empty L1 and L2.  Each of its entries is the same sum of at
+        most two terms, with exact factors of 1 from the cavity, as in the
+        assembly at cavity dimension 1, and scipy's row and column selection
+        keeps the entries in their stored order, which `rhs` sums in."""
+        levels = self.cfg.levels**self.cfg.M
+        d = self.dim
+        cav = d // levels
+        # emitter coordinate (e, f) is coordinate (e cav, f cav) of the stack
+        at = (np.arange(levels)[:, None] * (cav * d) + np.arange(levels) * cav).reshape(-1)
+        rows = np.concatenate([k * d * d + at for k in range(3)])
+        return Generator(self.cfg, self.bin, self.L[rows][:, at],
+                         chain_operators(self.cfg.M, self.cfg.levels, 1))
 
     def g(self, t: float) -> float:
         return mode_gv(self.bin, t, self.cfg.kappa).real
@@ -447,7 +466,8 @@ def get_generator(cfg: SystemConfig, bin: BinSpec, cav_dim: int | None = None) -
     """The displaced-frame `Generator`, by default at the output cutoff + 1."""
     if cav_dim is None:
         cav_dim = resolve_cutoff(cfg, bin) + 1
-    return Generator(cfg, bin, cav_dim)
+    check_dim(cfg, cav_dim)
+    return Generator(cfg, bin, *_superoperators(cfg.alpha, _physics(cfg), cav_dim))
 
 
 def liouvillian_apply(cfg: SystemConfig, bin: BinSpec, t: float, rho: np.ndarray) -> np.ndarray:

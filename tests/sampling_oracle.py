@@ -57,8 +57,10 @@ def segment(fun, num, t_start, t_end, y0, sample_times, collect, check_times, ch
     while solver.t < t_end:
         solver.step()
         n_steps += 1
-        if solver.t < t_end or n_steps == 1:
+        if solver.t < t_end:
             counters.h_min = min(counters.h_min, solver.h)
+        else:
+            counters.h_end = min(counters.h_end, solver.h)
         drift = abs(np.sum(solver.y[diag_idx]) - 1.0)
         counters.trace_drift_max = max(counters.trace_drift_max, drift)
         if drift > integrator.TRACE_DRIFT_TOL:

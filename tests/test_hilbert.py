@@ -11,7 +11,7 @@ from lab_oracle import displacement_operator
 from cwlsim.errors import ConfigError
 from cwlsim.hilbert import (DensityMatrix, annihilation, coherent_state,
                             displacement_block, fidelity, fock_state,
-                            hermitian_coords, hermitian_matrix,
+                            hermitian_coords, hermitian_matrix, kron,
                             partial_trace, pure_density, tensor,
                             trace_distance, trace_weights)
 from cwlsim.integrator import propagate
@@ -55,6 +55,50 @@ def test_tensor_product_action_matches_index_formula():
     joint = tensor([a, b]) @ np.kron(va, vb)
     expected = np.kron(a @ va, b @ vb)
     assert np.max(np.abs(joint - expected)) < 1e-12
+
+
+def _shuffled_rows(X, rng):
+    """X with the entries of each row stored in a random order."""
+    data, indices = X.data.copy(), X.indices.copy()
+    for a, b in zip(X.indptr[:-1], X.indptr[1:]):
+        order = a + rng.permutation(b - a)
+        data[a:b], indices[a:b] = X.data[order], X.indices[order]
+    return sp.csr_matrix((data, indices, X.indptr.copy()), shape=X.shape)
+
+
+def _csr_bits(X):
+    return (X.shape, X.dtype, X.data.tobytes(), X.indices.tobytes(), X.indptr.tobytes())
+
+
+@pytest.mark.parametrize("scale", [None, 0.37, -1.3])
+def test_kron_equals_scipy_bit_for_bit(scale):
+    # the CSR kron of the generator's sandwiches and of tensor() is scipy's,
+    # data, indices and indptr, for unsorted operands, empty rows, an empty
+    # operand, rectangular shapes and a rate applied after the product
+    rng = np.random.default_rng(7)
+
+    def rand(m, n, density, real=False):
+        X = sp.random(m, n, density=density, random_state=rng, format="csr")
+        if not real:
+            X = X + 1j * sp.random(m, n, density=density, random_state=rng, format="csr")
+        return X.tocsr()
+
+    unsorted = _shuffled_rows(rand(8, 9, 0.6), rng)
+    assert not unsorted.has_sorted_indices
+    gappy = rand(6, 5, 0.5).toarray()
+    gappy[[1, 4]] = 0
+    gappy = sp.csr_matrix(gappy)  # rows 1 and 4 empty
+    pairs = [(rand(5, 7, 0.3), rand(3, 4, 0.5)), (rand(6, 6, 0.2, real=True), rand(4, 2, 0.6)),
+             (unsorted, rand(3, 3, 0.5)), (rand(4, 3, 0.5), unsorted), (gappy, gappy),
+             (sp.identity(4, dtype=complex, format="csr"), rand(3, 5, 0.4)),
+             (rand(5, 5, 0.4), sp.identity(3, dtype=complex, format="csr")),
+             (rand(4, 4, 0.0), rand(3, 3, 0.5)), (rand(2, 3, 0.5), annihilation(0)),
+             (np.array([[0, 1j], [2, 0]]), rand(3, 2, 0.5))]
+    for A, B in pairs:
+        ref = sp.kron(A, B, format="csr")
+        if scale is not None:
+            ref = scale * ref
+        assert _csr_bits(kron(A, B, scale)) == _csr_bits(ref)
 
 
 def test_commutator_on_truncated_fock_space():

@@ -296,9 +296,18 @@ def test_n_rhs_counts_every_generator_call(monkeypatch):
     assert 0 < diag.h_min <= 0.02 * 0.9
 
 
+def test_h_min_counts_only_steps_the_error_control_chose():
+    # the clamp piece is one step cut to land on t0 + 1/g_max^2: it and every
+    # other segment-ending step are left out of h_min
+    diag = propagate(METRO_SINGLE_CFG, METRO_SINGLE_BIN).diagnostics
+    G = METRO_SINGLE_BIN.g_max_phys(METRO_SINGLE_CFG.kappa)
+    assert diag.h_min > 1.0 / (G * G)
+
+
 def test_assemble_s_counts_generator_assembly():
-    # the time in get_generator: a cold call assembles both generators, a warm
-    # repeat only looks them up
+    # the time in get_generator and Generator.vacuum: a cold call assembles the
+    # bin's generator and takes the emitters' block from it, a warm repeat
+    # looks the generator up and takes the block again
     from cwlsim.model import _drive_free, _superoperators
 
     cfg, b = SystemConfig(alpha=0.6, M=1), BinSpec(t0=0.4, tau=0.9)
@@ -410,6 +419,8 @@ def test_stepper_matches_scipy_dop853(case):
     pytest.param(METRO_PAIR_CFG, METRO_PAIR_BIN, id="metro_pair"),
     pytest.param(SystemConfig(alpha=DRIVE_SERIES[-1][0], M=1), DRIVE_SERIES[-1][1],
                  id="drive2.5"),
+    pytest.param(METRO_CRB_CFG, METRO_CRB_BIN, id="metro_crb"),
+    pytest.param(SystemConfig(alpha=NOISE_DRIVE, M=1, gamma_D=0.5), NOISE_BIN, id="noise"),
 ])
 def test_bin_matches_tight_reference(cfg, b):
     # Uncapped in-bin steps: the captured state and the in-bin output-grid
