@@ -3,6 +3,7 @@ their Wigner-function nonclassicality, and interferometric metrology."""
 
 __version__ = "0.1.0"
 
+from . import _blas
 from .ansatz import AnsatzFit, fit_displaced_mixture
 from .bethe import transmission_phase
 from .hilbert import (DensityMatrix, annihilation, coherent_state, fidelity,
@@ -16,6 +17,9 @@ from .model import (BinSpec, Numerics, SystemConfig, build_hamiltonian,
 from .shortbin import EmitterMoments, emitter_moments, shortbin_oracle, shortbin_rho
 from .sweep import SweepPlan, SweepRow, run_sweep
 from .wigner import WignerResult, wigner_grid
+
+# find the OpenBLAS builds at import, now that numpy and scipy.linalg have loaded them
+_blas.controls()
 
 __all__ = [
     "__version__",

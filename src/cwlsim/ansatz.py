@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._blas import single_thread
 from .errors import ConfigError
 from .hilbert import DensityMatrix, displacement_block, fidelity, state_overlap
 
@@ -41,6 +42,7 @@ def _fix_row_phase(row: np.ndarray) -> np.ndarray:
     return row * (np.conj(ph) / abs(ph))
 
 
+@single_thread
 def fit_displaced_mixture(rho_v, alpha: complex, tau: float, kappa: float = 1.0,
                           span: int = SPAN_LEVELS) -> AnsatzFit:
     """Fit rho_v by a displaced rank-3 mixture on the lowest ``span`` levels.

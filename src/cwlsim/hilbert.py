@@ -26,6 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import eval_genlaguerre, gammaln
 
+from ._blas import single_thread
 from .errors import ConfigError
 
 # Validation tolerances for density matrices.
@@ -292,6 +293,7 @@ class DensityMatrix:
 
     __slots__ = ("mat", "dims")
 
+    @single_thread
     def __init__(
         self,
         mat: np.ndarray,
@@ -319,7 +321,8 @@ class DensityMatrix:
             raise ConfigError(f"trace {tr!r} deviates from 1 beyond {trace_tol:.1e}")
         lo = min_eig
         if lo is None:
-            # numpy's eigvalsh: scipy's eigh stalls in forked workers on some small sizes
+            # numpy's eigvalsh: scipy's eigh stalled in forked workers at two BLAS
+            # threads on some small sizes; the check runs at one (`_blas`)
             lo = float(np.min(np.linalg.eigvalsh((mat + mat.conj().T) / 2)))
         if lo < -positivity_tol:
             raise ConfigError(f"minimum eigenvalue {lo:.3e} below -{positivity_tol:.1e}")
@@ -404,6 +407,7 @@ def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
+@single_thread
 def fidelity(rho, sigma) -> float:
     """Uhlmann fidelity F = (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2.
 
@@ -417,6 +421,7 @@ def fidelity(rho, sigma) -> float:
     return float(np.sum(sv) ** 2)
 
 
+@single_thread
 def state_overlap(rho, sigma) -> float:
     """Plain overlap Tr[rho sigma], reported alongside the Uhlmann fidelity."""
     r = _as_array(rho)
@@ -424,6 +429,7 @@ def state_overlap(rho, sigma) -> float:
     return float(np.real(np.trace(r @ s)))
 
 
+@single_thread
 def trace_distance(rho, sigma) -> float:
     diff = _as_array(rho) - _as_array(sigma)
     ev = np.linalg.eigvalsh((diff + diff.conj().T) / 2)

@@ -35,6 +35,8 @@ Positivity is checked on accepted step ends: for each of POSITIVITY_SAMPLES
 evenly spaced times, the first step end at or after it, one state per step.
 Neither the stepper, the sampler, the loss step nor the frame change makes a
 BLAS call, so the result is bit-identical at any BLAS thread count.  The
+positivity samples and the state checks do call LAPACK; `propagate` runs
+them at one BLAS thread (`_blas`), so they never wake OpenBLAS's pool.  The
 tableau is `_dop853`, SciPy's coefficients bit for bit.
 """
 
@@ -50,6 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _dop853 as _dop
+from ._blas import single_thread
 from .errors import CutoffConvergenceError, StepSizeError
 from .hilbert import (DensityMatrix, coord_modulus, displacement_block, hermitian_coords,
                       hermitian_matrix, partial_trace, trace_weights)
@@ -367,6 +370,7 @@ def _collector(grid: np.ndarray, pops: np.ndarray, cav: np.ndarray, gen: Generat
     return keep, collect
 
 
+@single_thread
 def propagate(cfg: SystemConfig, bin: BinSpec, *, verify_cutoff: bool = False) -> Trajectory:
     """Propagate the master equation; the captured mode state is ``rho_v``.
 
@@ -465,8 +469,9 @@ def propagate(cfg: SystemConfig, bin: BinSpec, *, verify_cutoff: bool = False) -
         counters.assemble_s += time.perf_counter() - t_gen
     counters.bin_s = time.perf_counter() - t_wall
 
-    # numpy's eigvalsh, as in DensityMatrix: in forked sweep workers at two
-    # BLAS threads, scipy's eigh stalled for ~50 ms a call on these states
+    # numpy's eigvalsh, as in DensityMatrix: before the one-thread scope, in
+    # forked sweep workers at two BLAS threads, scipy's eigh stalled for
+    # ~50 ms a call on these states
     eig_min = [float(np.min(np.linalg.eigvalsh(hermitian_matrix(ys))))
                for ys in pre_checks + bin_checks]
     pos_min = min([0.0] + eig_min)

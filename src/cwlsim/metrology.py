@@ -65,6 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._blas import single_thread
 from .errors import ConfigError, CutoffConvergenceError
 from .hilbert import DensityMatrix, pad_fock
 
@@ -122,6 +123,7 @@ class MZResult:
     N_b: float
 
 
+@single_thread
 def extract_moments(rho_v) -> MomentSet:
     """Moments <a+^p a^q>, p + q <= 4, by exact truncated-basis contraction.
 
@@ -301,6 +303,7 @@ def squeezed_reference(N_a_match: float, N_b: float, phi_grid=None) -> MZResult:
 # quantum bound
 
 
+@single_thread
 def crb(rho_v, N_b: float) -> float:
     """Quantum bound 1/sqrt(F_Q) on the phase sensitivity.
 

@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 
+from ._blas import single_thread
 from .errors import ConfigError, SeriesConvergenceError
 from .hilbert import DensityMatrix, displacement_block
 from .model import chain_operators, default_cutoff
@@ -51,6 +52,7 @@ def _emitter_levels(dim: int, M: int) -> int:
     raise ConfigError(f"emitter state dim {dim} incompatible with M={M}")
 
 
+@single_thread
 def emitter_moments(rho_emitters: DensityMatrix, M: int) -> EmitterMoments:
     """Moments of the collective lowering operator on the emitter state."""
     dim = rho_emitters.dim
@@ -75,6 +77,7 @@ def emitter_moments(rho_emitters: DensityMatrix, M: int) -> EmitterMoments:
     return EmitterMoments(table, M)
 
 
+@single_thread
 def shortbin_rho(mom: EmitterMoments, alpha: complex, tau: float, kappa: float,
                  M: int, cutoff: int | None = None) -> DensityMatrix:
     """Closed-form captured-mode state: displaced (M+1)-component mixture.
@@ -124,6 +127,7 @@ def shortbin_rho(mom: EmitterMoments, alpha: complex, tau: float, kappa: float,
     return DensityMatrix(out, positivity_tol=tol)
 
 
+@single_thread
 def shortbin_oracle(rho_emitters: DensityMatrix, alpha: complex, tau: float,
                     kappa: float, M: int, k_max: int = 30,
                     cutoff: int | None = None) -> DensityMatrix:

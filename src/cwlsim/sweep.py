@@ -11,9 +11,13 @@ its first point against ~12 ms for a forked one (a one-worker pool on a 2-core
 box), which costs more than a typical sweep saves, while a forked one inherits
 the loaded modules and the generator cache.  The workers take the points in
 chunks that keep each config's points together (`_dispatch_order`), so a
-worker assembles the generators of its own configs only.  The propagation
-makes no BLAS call, so the workers need no BLAS thread pinning and a row does
-not depend on the process that computed it.  Fork copies only the calling thread: a program
+worker assembles the generators of its own configs only.  The stepping
+makes no BLAS call, and a row does not depend on the process that computed
+it or on its BLAS thread count.  The positivity samples and the state checks
+do call LAPACK: each public cwlsim function that does runs its BLAS at one
+thread (`_blas`) and restores the caller's counts on return, so the workers
+get that policy through the points they evaluate, and no worker wakes
+OpenBLAS's thread pool.  Fork copies only the calling thread: a program
 that holds locks in other Python threads while it sweeps should set
 ``CWL_THREADS=1``.
 """

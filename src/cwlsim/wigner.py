@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
+from ._blas import single_thread
 from .errors import ConfigError, GridTooCoarseError
 from .hilbert import DensityMatrix, annihilation
 
@@ -211,6 +212,7 @@ def default_bounds(rho) -> tuple[tuple[float, float], tuple[float, float]]:
     )
 
 
+@single_thread
 def wigner_grid(rho, bounds=None, spacing: float = DEFAULT_SPACING) -> WignerResult:
     """Wigner function of a single-mode state on a rectangular grid.
 

@@ -539,14 +539,18 @@ def test_samples_on_step_ends_read_the_state(monkeypatch):
 
 BLAS_PROBE = """
 import hashlib
-from cwlsim import SweepPlan, SystemConfig, propagate, run_sweep, wigner_grid
+from cwlsim import (SweepPlan, SystemConfig, crb, fit_displaced_mixture, propagate, run_sweep,
+                    wigner_grid)
 from cwlsim.presets import DRIVE_SERIES, METRO_SINGLE_BIN, METRO_SINGLE_CFG, PARITY_BIN, PARITY_DRIVE
 
 rho_v = propagate(SystemConfig(alpha=PARITY_DRIVE, M=2), PARITY_BIN).rho_v.mat
 print(hashlib.sha256(rho_v.tobytes()).hexdigest())
+print(crb(rho_v, 100.0).hex())
 alpha, bin = DRIVE_SERIES[0]
-w = wigner_grid(propagate(SystemConfig(alpha=alpha, M=1), bin).rho_v)
+rho = propagate(SystemConfig(alpha=alpha, M=1), bin).rho_v
+w = wigner_grid(rho)
 print(hashlib.sha256(w.values.tobytes()).hexdigest(), w.negativity.hex())
+print(fit_displaced_mixture(rho, alpha, bin.tau).fidelity.hex())
 plan = SweepPlan(axes=(("t0", (1.5, 2.0)), ("tau", (4.0, 5.5))),
                  objective="jz_improvement", N_b=100.0)
 for row in run_sweep(plan, METRO_SINGLE_CFG, METRO_SINGLE_BIN, parallel=False):
@@ -570,7 +574,7 @@ def test_results_independent_of_blas_threads():
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
-    assert len(outputs[0].splitlines()) == 6
+    assert len(outputs[0].splitlines()) == 8
     assert outputs[0] == outputs[1]
 
 
