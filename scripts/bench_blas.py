@@ -18,7 +18,8 @@ round to round), each OpenBLAS thread count (``OPENBLAS_NUM_THREADS`` 1 and
 
 ``wall_s`` is the case's wall time and ``cpu_s`` the CPU time of the process
 and of its sweep workers over it.  The output keeps every run and, per side,
-thread count and case, the median and quartiles of both, under the key
+thread count and case, the median and quartiles of both, and the commit
+each checkout holds (``source``, as in ``bench_pairs.py``), under the key
 ``sweeps``; an existing output file keeps its other keys.
 """
 
@@ -35,6 +36,7 @@ from pathlib import Path
 
 import numpy
 import scipy
+from bench_pairs import source
 
 CASES = ("single", "pair", "parity4")
 THREADS = ("1", "2")
@@ -105,6 +107,7 @@ def main(argv=None) -> int:
     doc["sweeps"] = {"harness": "scripts/bench_blas.py", "rounds": args.rounds,
                      "nproc": os.cpu_count(), "python": platform.python_version(),
                      "numpy": numpy.__version__, "scipy": scipy.__version__,
+                     "source": {side: source(getattr(args, side)) for side in runs},
                      "summary": summary, "runs": runs}
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 0

@@ -9,9 +9,11 @@ same seed and run length; the side that runs first alternates from pair to
 pair.  Each side runs the benchmark files of its own checkout.  For every
 workload and side the output records each run's end-to-end metrics, their
 median and quartiles, and the environment perfbench reported (nproc, BLAS
-threads, library versions, commit); ``after_wins`` counts the pairs in which
-the "after" side was better, ties counting for neither.  An existing output
-file keeps its other workloads.
+threads, library versions, commit) and, under ``source``, the commit each
+checkout holds, marked ``+changes`` where its tracked files differ from it
+(perfbench reads only HEAD); ``after_wins`` counts the pairs in which the
+"after" side was better, ties counting for neither.  An existing output file
+keeps its other workloads.
 """
 
 from __future__ import annotations
@@ -35,6 +37,20 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     result = json.loads(lines[-1])
     return {"correct": result["correct"], "env": env,
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+
+
+def source(checkout: Path) -> str:
+    """The commit a git checkout holds, with "+changes" where its tracked
+    files differ from it; "not a git checkout" for an exported tree."""
+    def git(*cmd):
+        return subprocess.run(["git", "-C", str(checkout), *cmd], capture_output=True, text=True)
+
+    top = git("rev-parse", "--show-toplevel")
+    if top.returncode or Path(top.stdout.strip()).resolve() != checkout.resolve():
+        return "not a git checkout"
+    commit = git("rev-parse", "--short=12", "HEAD").stdout.strip()
+    changed = git("status", "--porcelain", "--untracked-files=no").stdout.strip()
+    return commit + ("+changes" if changed else "")
 
 
 def summarize(runs: list[dict]) -> dict:
@@ -78,7 +94,7 @@ def main(argv=None) -> int:
                              for a, b in zip(runs["after"], runs["before"]))
         workloads[workload] = {
             "pairs": args.pairs, "seed": args.seed, "seconds": args.seconds,
-            **{side: {"env": rs[0]["env"], "all_correct": all(r["correct"] for r in rs),
+            **{side: {"env": rs[0]["env"], "source": source(getattr(args, side)), "all_correct": all(r["correct"] for r in rs),
                       "summary": summarize(rs), "runs": [r["metrics"] for r in rs]}
                for side, rs in runs.items()},
             "after_wins": wins,

@@ -17,9 +17,9 @@ it or on its BLAS thread count.  The positivity samples and the state checks
 do call LAPACK: each public cwlsim function that does runs its BLAS at one
 thread (`_blas`) and restores the caller's counts on return, so the workers
 get that policy through the points they evaluate, and no worker wakes
-OpenBLAS's thread pool.  Fork copies only the calling thread: a program
-that holds locks in other Python threads while it sweeps should set
-``CWL_THREADS=1``.
+OpenBLAS's thread pool; `_blas` resets its own lock in each worker.  Fork
+copies only the calling thread: a program that holds locks in other Python
+threads while it sweeps should set ``CWL_THREADS=1``.
 """
 
 from __future__ import annotations

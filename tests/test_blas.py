@@ -2,6 +2,7 @@
 product runs its solves at one OpenBLAS thread, and leaves the caller's
 thread counts as it found them."""
 
+import multiprocessing
 import sys
 import threading
 
@@ -19,15 +20,28 @@ CONTROLS = _blas.controls()
 pytestmark = pytest.mark.skipif(not CONTROLS, reason="no OpenBLAS thread control found")
 
 
+SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+           "openblas_set_num_threads")
+
+
 def counts():
     return [get() for get, _ in CONTROLS]
+
+
+def set_counts(n: int) -> None:
+    """Each controlled build at ``n`` threads, through its own set function:
+    unlike the controls' setter, it grows the thread pool to ``n``, which a
+    pool started at OPENBLAS_NUM_THREADS=1 needs before it can run at two."""
+    for lib in _blas._libraries():
+        if _blas._control(lib) is not None:
+            next(getattr(lib, name) for name in SETTERS if hasattr(lib, name))(n)
 
 
 @pytest.fixture
 def two_threads():
     before = counts()
-    for _, set_ in CONTROLS:
-        set_(2)
+    set_counts(2)
+    assert counts() == [2] * len(CONTROLS)
     try:
         yield
     finally:
@@ -123,4 +137,27 @@ def test_scope_is_thread_safe(two_threads):
     assert not any(t.is_alive() for t in threads)
     assert bad == []
     assert _blas._depth == 0
+    assert counts() == [2] * len(CONTROLS)
+
+
+def _child_scope(out):
+    out.put(_blas.single_thread(counts)())
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs fork")
+def test_scope_usable_in_a_child_forked_inside_the_lock(two_threads):
+    # a fork while another thread holds the scope's lock: the child's first
+    # wrapped call must not wait on a lock that no thread of its own holds
+    ctx = multiprocessing.get_context("fork")
+    out = ctx.Queue()
+    with _blas._lock:
+        child = ctx.Process(target=_child_scope, args=(out,))
+        child.start()
+    child.join(timeout=30)
+    if child.is_alive():
+        child.kill()
+        child.join()
+    assert child.exitcode == 0
+    assert out.get(timeout=5) == [1] * len(CONTROLS)
     assert counts() == [2] * len(CONTROLS)
