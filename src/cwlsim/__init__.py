@@ -18,7 +18,7 @@ from .shortbin import EmitterMoments, emitter_moments, shortbin_oracle, shortbin
 from .sweep import SweepPlan, SweepRow, run_sweep
 from .wigner import WignerResult, wigner_grid
 
-# find the OpenBLAS builds at import, now that numpy and scipy.linalg have loaded them
+# find the OpenBLAS builds at import, now that numpy has loaded its own, the one cwlsim calls
 _blas.controls()
 
 __all__ = [

@@ -6,10 +6,13 @@ that follows, on the cores that this process and the other sweep workers
 need.  cwlsim's dense solves are small (the positivity samples, the state
 checks, `crb`'s and the ansatz's eigh), so every public function whose body
 reaches LAPACK or a dense matrix product runs under `single_thread`: on entry
-it sets each OpenBLAS build loaded in the process (numpy's and scipy's wheels
-each bundle one) to one thread, and on the outermost exit it restores the
-caller's counts.  The counts are process-wide, so while a cwlsim call runs,
-the BLAS calls of the process's other threads run on one thread too.
+it sets each OpenBLAS build loaded in the process to one thread, and on the
+outermost exit it restores the caller's counts.  cwlsim imports numpy and
+``scipy.sparse`` only, so it loads and calls numpy's build alone; scipy's
+wheel bundles a second one, which ``scipy.linalg`` or ``scipy.special`` loads
+where the caller has imported them first.  The counts are process-wide, so
+while a cwlsim call runs, the BLAS calls of the process's other threads run on
+one thread too.
 
 The builds are found once, at the end of ``import cwlsim``, by their get
 function among the libraries mapped into the process.  The count is set by
@@ -99,7 +102,7 @@ if hasattr(os, "register_at_fork"):
 def controls() -> tuple:
     """The (get, set) thread-count controls of each OpenBLAS build in the
     process, found on the first call: the package's ``__init__`` makes it
-    once it has imported numpy and scipy.linalg."""
+    once it has imported numpy."""
     global _controls
     if _controls is None:
         _controls = tuple(c for c in map(_control, _libraries()) if c is not None)

@@ -18,13 +18,13 @@ them, `real_form` carries a Hermiticity-preserving superoperator over, and
 
 from __future__ import annotations
 
+import cmath
 import math
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import eval_genlaguerre, gammaln
 
 from ._blas import single_thread
 from .errors import ConfigError
@@ -139,27 +139,63 @@ def coherent_state(beta: complex, cutoff: int | None = None) -> np.ndarray:
     return amps / np.linalg.norm(amps)
 
 
-def _log_factorial(n: np.ndarray) -> np.ndarray:
-    return gammaln(np.asarray(n, dtype=float) + 1.0)
+@lru_cache(maxsize=32)
+def _laguerre_layout(rows: int, cols: int):
+    """What a rows x cols `displacement_block` needs that does not depend on
+    beta.  Element (m, c) is entry (n, d) = (min(m, c), |m - c|) of a
+    min(rows, cols) x max(rows, cols) table, the lower triangle's (m >= c) or
+    the upper's, stacked below it; ``at`` is that flat index.  Also d + 1, the
+    recurrence's divisors k + d + 1 and ratios k/(k + d + 1) for
+    k = 1..min(rows, cols) - 2, log(sqrt((n + d)!/n!)/d!) and (-1)^d."""
+    nlo, nd = min(rows, cols), max(rows, cols)
+    log_fact = np.array([math.lgamma(j + 1.0) for j in range(nlo + nd)])
+    n, d = np.arange(nlo)[:, None], np.arange(nd)
+    k = np.arange(1.0, nlo - 1)[:, None]
+    den = k + d + 1.0
+    m, c = np.arange(rows)[:, None], np.arange(cols)
+    at = (np.where(m >= c, 0, nlo) + np.minimum(m, c)) * nd + np.abs(m - c)
+    out = (d + 1.0, den, k / den, 0.5 * (log_fact[n + d] - log_fact[n]) - log_fact[d],
+           (-1.0) ** d, at)
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def displacement_block(beta: complex, rows: int, cols: int) -> np.ndarray:
     """The exact matrix elements <m|D(beta)|n>, m < rows, n < cols, of the untruncated D.
 
-    For m >= n, sqrt(n!/m!) beta^(m-n) e^{-|beta|^2/2} L_n^(m-n)(|beta|^2);
-    for m < n, (-1)^(n-m) times the conjugate of the (n, m) element.  Computed
-    elementwise, with no BLAS call.
+    For m >= n, sqrt(n!/m!) beta^(m-n) e^{-|beta|^2/2} L_n^(m-n)(|beta|^2)
+    (Cahill & Glauber, Phys. Rev. 177, 1857 (1969)); for m < n, (-1)^(n-m)
+    times the conjugate of the (n, m) element.  L_n^(d)(x) is
+    binom(n + d, n) p_n, with p_n from the upward recurrence of scipy's
+    integer-order ``eval_genlaguerre``: p_0 = 1, q_0 = -x/(d + 1),
+    p_1 = 1 + q_0, and for k >= 1 q_k = -x/(k + d + 1) p_k + k/(k + d + 1) q_(k-1),
+    p_(k+1) = p_k + q_k.  One pass over n serves every order d at once, and
+    the binomial joins the factorials in one exponent, sqrt(m!/n!)/d!.  No
+    BLAS call.
     """
     if beta == 0:
         return np.eye(rows, cols, dtype=complex)
+    d1, den, ratio, log_scale, sign, at = _laguerre_layout(rows, cols)
     x = abs(beta) ** 2
-    m, n = np.arange(rows)[:, None], np.arange(cols)[None, :]
-    lo, d = np.minimum(m, n), np.abs(m - n)
-    mag = np.exp(0.5 * (_log_factorial(lo) - _log_factorial(lo + d)) - x / 2
-                 + d * math.log(abs(beta)))
-    phase = np.where(m >= n, np.exp(1j * d * np.angle(beta)),
-                     (-1.0) ** d * np.exp(-1j * d * np.angle(beta)))
-    return mag * eval_genlaguerre(lo, d, x) * phase
+    p = np.empty((min(rows, cols), len(d1)))
+    p[0] = 1.0
+    if len(p) > 1:
+        q = -x / d1
+        np.add(q, 1.0, p[1])
+        xq = np.empty_like(q)
+        for step, r, pk, pnext in zip(-x / den, ratio, p[1:], p[2:]):
+            np.multiply(step, pk, xq)
+            np.multiply(q, r, q)
+            np.add(q, xq, q)
+            np.add(pk, q, pnext)
+    d = d1 - 1.0
+    p *= np.exp(log_scale + (d * math.log(abs(beta)) - x / 2))
+    phase = np.exp((1j * cmath.phase(beta)) * d)
+    both = np.empty((2,) + p.shape, dtype=complex)  # lower, upper triangle
+    np.multiply(p, phase, both[0])
+    np.multiply(p, sign * phase.conj(), both[1])
+    return both.reshape(-1)[at]
 
 
 @lru_cache(maxsize=32)

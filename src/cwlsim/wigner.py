@@ -19,9 +19,10 @@ W(beta) = (2/pi) Tr[rho D(2 beta) P] and the y-integral by quadrature.
 
 States far from the origin are shifted to the origin first, once per grid
 (W is translation covariant).  The separable form does not need that shift,
-and `_recentered` is the library's one truncated matrix exponential, which
-biases W of states with a large mean amplitude.  It stays only so that
-perfbench's pinned capture negativities stay put; ROADMAP item 6 removes it.
+and `_recentered`'s D is the exponential of the truncated generator, from
+one ``eigh`` of its Hermitian form, which biases W of states with a large
+mean amplitude.  It stays only so that perfbench's pinned capture
+negativities stay put; ROADMAP item 6 removes it.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from ._blas import single_thread
 from .errors import ConfigError, GridTooCoarseError
@@ -157,14 +157,22 @@ def _crop_support(mat: np.ndarray) -> np.ndarray:
     return mat[:top, :top]
 
 
+def _truncated_displacement(mu: complex, dim: int) -> np.ndarray:
+    """exp(mu a+ - mu* a) of the generator truncated to the Fock levels
+    0..dim-1, as V diag(e^{-i lambda}) V+ from the eigenpairs of the Hermitian
+    i(mu a+ - mu* a)."""
+    a = annihilation(dim - 1).toarray()
+    lam, V = np.linalg.eigh(1j * (mu * a.conj().T - np.conj(mu) * a))
+    return (V * np.exp(-1j * lam)) @ V.conj().T
+
+
 def _recentered(mat: np.ndarray) -> tuple[np.ndarray, complex]:
     """The cropped state to evaluate and its origin's offset mu in phase space:
-    D+ mat D with D = exp(mu a+ - mu* a) of the truncated generator, if shifted."""
+    D+ mat D with D the `_truncated_displacement` by mu, if shifted."""
     mu = _mean_amplitude(mat)
     if abs(mu) <= RECENTER_THRESHOLD:
         return _crop_support(mat), 0j
-    a = annihilation(mat.shape[0] - 1).toarray()
-    D = expm(mu * a.conj().T - np.conj(mu) * a)
+    D = _truncated_displacement(mu, mat.shape[0])
     return _crop_support(D.conj().T @ mat @ D), mu
 
 

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -152,6 +153,84 @@ def test_displacement_block_matches_padded_exponential():
     for beta, rows, cols in ((0.8 - 0.6j, 12, 9), (2.6, 36, 10), (-1.8j, 20, 30), (0.0, 4, 6)):
         ref = displacement_operator(beta, 120)[:rows, :cols]
         assert np.max(np.abs(displacement_block(beta, rows, cols) - ref)) < 1e-12
+
+
+# rows/cols of the 60 x 60 block checked against the 50-digit reference:
+# every level to 15, then a spread up to 59 (both triangles)
+ORACLE_LEVELS = list(range(16)) + [19, 24, 31, 38, 44, 50, 55, 59]
+ORACLE_BETAS = (0.0, 1e-8, 0.3, 1.2 - 0.4j, 2.56, 5.0)
+
+
+@functools.lru_cache(maxsize=None)
+def displacement_reference(beta):
+    """<m|D(beta)|n> for m, n in ORACLE_LEVELS at 50 digits, from
+    mpmath.laguerre and mpmath.loggamma (the Cahill-Glauber form)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        b = mpmath.mpc(beta)
+        x = abs(b) ** 2
+        out = np.zeros((len(ORACLE_LEVELS),) * 2, dtype=complex)
+        for i, m in enumerate(ORACLE_LEVELS):
+            for j, n in enumerate(ORACLE_LEVELS):
+                lo, d = min(m, n), abs(m - n)
+                if beta == 0:
+                    out[i, j] = 1.0 if d == 0 else 0.0
+                    continue
+                # zeroprec: L_1^(24)(25) is exactly zero
+                v = (mpmath.exp((mpmath.loggamma(lo + 1) - mpmath.loggamma(lo + d + 1)) / 2 - x / 2)
+                     * b**d * mpmath.laguerre(lo, d, x, zeroprec=400))
+                out[i, j] = complex(v if m >= n else (-1) ** d * mpmath.conj(v))
+    return out
+
+
+def scipy_displacement(beta, rows, cols):
+    """The same elements through scipy.special's eval_genlaguerre and gammaln."""
+    from scipy.special import eval_genlaguerre, gammaln
+
+    if beta == 0:
+        return np.eye(rows, cols, dtype=complex)
+    x = abs(beta) ** 2
+    m, n = np.arange(rows)[:, None], np.arange(cols)[None, :]
+    lo, d = np.minimum(m, n), np.abs(m - n)
+    mag = np.exp(0.5 * (gammaln(lo + 1.0) - gammaln(lo + d + 1.0)) - x / 2
+                 + d * math.log(abs(beta)))
+    phase = np.where(m >= n, np.exp(1j * d * np.angle(beta)),
+                     (-1.0) ** d * np.exp(-1j * d * np.angle(beta)))
+    return mag * eval_genlaguerre(lo, d, x) * phase
+
+
+def assert_elements_close(got, ref, rel_everywhere):
+    # D is unitary, so 5e-14 is relative to its largest elements; relative
+    # 5e-13 where no Laguerre cancellation can occur (the first row and
+    # column, L_0 = 1; and |beta| <= 0.3 everywhere), above the subnormals
+    err = np.abs(got - ref)
+    assert err.max() <= 5e-14, err.max()
+    norm = np.abs(ref) > 1e-280
+    rel = np.where(norm, err / np.where(norm, np.abs(ref), 1.0), 0.0)
+    checked = rel if rel_everywhere else np.concatenate([rel[0], rel[:, 0]])
+    assert checked.max() <= 5e-13, checked.max()
+
+
+@pytest.mark.parametrize("beta", ORACLE_BETAS)
+def test_displacement_block_matches_50_digit_laguerre(beta):
+    ref = displacement_reference(beta)
+    idx = np.array(ORACLE_LEVELS)
+    small = abs(beta) <= 0.3
+    full = displacement_block(beta, 60, 60)
+    assert_elements_close(full[np.ix_(idx, idx)], ref, small)
+    # any block shape: tall, wide, one row or column, and unequal
+    for rows, cols in ((60, 7), (7, 60), (60, 1), (1, 60), (38, 59), (2, 2)):
+        r, c = idx[idx < rows], idx[idx < cols]
+        got = displacement_block(beta, rows, cols)
+        assert got.shape == (rows, cols)
+        assert_elements_close(got[np.ix_(r, c)], ref[:len(r), :len(c)], small)
+
+
+@pytest.mark.parametrize("beta", ORACLE_BETAS)
+def test_displacement_block_matches_scipy_special(beta):
+    for rows, cols in ((60, 60), (60, 7), (7, 60), (1, 60), (41, 13)):
+        assert_elements_close(displacement_block(beta, rows, cols),
+                              scipy_displacement(beta, rows, cols), abs(beta) <= 0.3)
 
 
 def test_displacement_shifts_annihilation():

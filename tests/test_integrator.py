@@ -617,11 +617,14 @@ def test_dop853_tableau_equals_scipy():
         assert getattr(_dop853, name) == getattr(ref, name), name
 
 
-IMPORT_PROBE = """
+# scipy subpackages the library never imports: it uses numpy and scipy.sparse only
+SCIPY_UNUSED = ("scipy.integrate", "scipy.optimize", "scipy.special", "scipy.linalg")
+IMPORT_PROBE = f"""
+SCIPY_UNUSED = {SCIPY_UNUSED!r}
 import sys
 import cwlsim
 import cwlsim.cli
-print(sorted(m for m in ("scipy.integrate", "scipy.optimize") if m in sys.modules))
+print(sorted(m for m in SCIPY_UNUSED if m in sys.modules))
 """
 
 
@@ -652,3 +655,5 @@ def test_import_loads_no_scipy_integrate():
                 parts = name.split(".")
                 assert not (parts[0] == "scipy" and any(p.startswith("_") for p in parts)), \
                     f"{path.name} imports the private {name}"
+                assert not any(name == m or name.startswith(m + ".") for m in SCIPY_UNUSED), \
+                    f"{path.name} imports {name}"

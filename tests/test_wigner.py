@@ -287,3 +287,25 @@ def test_capture_presets_match_laguerre_oracle(name, monkeypatch):
     assert fast.levels == slow.levels
     assert abs(fast.negativity - slow.negativity) <= 1e-10 * max(slow.negativity, REFINE_ABS_FLOOR)
     assert abs(fast.norm - slow.norm) <= 1e-10 * abs(slow.norm)
+
+
+@pytest.mark.parametrize("mu", [1.01, 2.56, 1.2 - 0.9j, -3.1 + 2.0j])
+@pytest.mark.parametrize("dim", [2, 13, 40, 60])
+def test_truncated_displacement_matches_expm(mu, dim):
+    # the recentring's D, from one eigh, against scipy's expm of the same
+    # truncated generator
+    a = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
+    ref = expm(mu * a.T - np.conj(mu) * a)
+    assert np.max(np.abs(wigner._truncated_displacement(mu, dim) - ref)) <= 1e-13
+
+
+@pytest.mark.parametrize("name", ["drive1.5", "drive2.5"])
+def test_recentered_state_matches_expm_shift(name):
+    mat = _captured(name).mat
+    state, mu = wigner._recentered(mat)
+    assert abs(mu) > wigner.RECENTER_THRESHOLD
+    a = np.diag(np.sqrt(np.arange(1.0, mat.shape[0])), 1)
+    D = expm(mu * a.T - np.conj(mu) * a)
+    ref = wigner._crop_support(D.conj().T @ mat @ D)
+    assert state.shape == ref.shape
+    assert np.max(np.abs(state - ref)) <= 1e-13
