@@ -174,7 +174,7 @@ def displacement_block(beta: complex, rows: int, cols: int) -> np.ndarray:
     the binomial joins the factorials in one exponent, sqrt(m!/n!)/d!.  No
     BLAS call.
     """
-    if beta == 0:
+    if beta == 0 or rows == 0 or cols == 0:
         return np.eye(rows, cols, dtype=complex)
     d1, den, ratio, log_scale, sign, at = _laguerre_layout(rows, cols)
     x = abs(beta) ** 2
