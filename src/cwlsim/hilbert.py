@@ -139,26 +139,16 @@ def coherent_state(beta: complex, cutoff: int | None = None) -> np.ndarray:
     return amps / np.linalg.norm(amps)
 
 
-@lru_cache(maxsize=32)
-def _laguerre_layout(rows: int, cols: int):
-    """What a rows x cols `displacement_block` needs that does not depend on
-    beta.  Element (m, c) is entry (n, d) = (min(m, c), |m - c|) of a
-    min(rows, cols) x max(rows, cols) table, the lower triangle's (m >= c) or
-    the upper's, stacked below it; ``at`` is that flat index.  Also d + 1, the
-    recurrence's divisors k + d + 1 and ratios k/(k + d + 1) for
-    k = 1..min(rows, cols) - 2, log(sqrt((n + d)!/n!)/d!) and (-1)^d."""
-    nlo, nd = min(rows, cols), max(rows, cols)
-    log_fact = np.array([math.lgamma(j + 1.0) for j in range(nlo + nd)])
-    n, d = np.arange(nlo)[:, None], np.arange(nd)
-    k = np.arange(1.0, nlo - 1)[:, None]
-    den = k + d + 1.0
-    m, c = np.arange(rows)[:, None], np.arange(cols)
-    at = (np.where(m >= c, 0, nlo) + np.minimum(m, c)) * nd + np.abs(m - c)
-    out = (d + 1.0, den, k / den, 0.5 * (log_fact[n + d] - log_fact[n]) - log_fact[d],
-           (-1.0) ** d, at)
-    for a in out:
-        a.flags.writeable = False
-    return out
+_log_fact = np.zeros(0)  # log j!, grown by `_log_factorials` as larger blocks are asked for
+
+
+def _log_factorials(size: int) -> np.ndarray:
+    """log j! for j < ``size`` at least."""
+    global _log_fact
+    table = _log_fact
+    if len(table) < size:
+        table = _log_fact = np.array([math.lgamma(j + 1.0) for j in range(size)])
+    return table
 
 
 def displacement_block(beta: complex, rows: int, cols: int) -> np.ndarray:
@@ -176,26 +166,32 @@ def displacement_block(beta: complex, rows: int, cols: int) -> np.ndarray:
     """
     if beta == 0 or rows == 0 or cols == 0:
         return np.eye(rows, cols, dtype=complex)
-    d1, den, ratio, log_scale, sign, at = _laguerre_layout(rows, cols)
     x = abs(beta) ** 2
-    p = np.empty((min(rows, cols), len(d1)))
+    nlo, nd = min(rows, cols), max(rows, cols)
+    d = np.arange(nd, dtype=float)
+    d1 = d + 1.0
+    p = np.empty((nlo, nd))  # p[n, d] = p_n of order d
     p[0] = 1.0
-    if len(p) > 1:
+    if nlo > 1:
         q = -x / d1
-        np.add(q, 1.0, p[1])
-        xq = np.empty_like(q)
-        for step, r, pk, pnext in zip(-x / den, ratio, p[1:], p[2:]):
-            np.multiply(step, pk, xq)
-            np.multiply(q, r, q)
-            np.add(q, xq, q)
-            np.add(pk, q, pnext)
-    d = d1 - 1.0
-    p *= np.exp(log_scale + (d * math.log(abs(beta)) - x / 2))
-    phase = np.exp((1j * cmath.phase(beta)) * d)
-    both = np.empty((2,) + p.shape, dtype=complex)  # lower, upper triangle
-    np.multiply(p, phase, both[0])
-    np.multiply(p, sign * phase.conj(), both[1])
-    return both.reshape(-1)[at]
+        np.add(q, 1.0, out=p[1])
+        k = np.arange(1.0, nlo - 1)[:, None]
+        den = k + d1
+        for step, r, pk, pnext in zip(-x / den, k / den, p[1:], p[2:]):
+            q = step * pk + r * q
+            np.add(pk, q, out=pnext)
+    lf = _log_factorials(nlo + nd)
+    n = np.arange(nlo)[:, None]
+    p *= np.exp(0.5 * (lf[n + np.arange(nd)] - lf[:nlo, None]) - lf[:nd]
+                + (d * math.log(abs(beta)) - x / 2))
+    # the lower triangle's table (m >= n) and the upper's, stacked; element
+    # (m, c) is entry (min(m, c), |m - c|) of one of them
+    both = np.empty((2, nlo, nd), dtype=complex)
+    np.multiply(p, np.exp((1j * cmath.phase(beta)) * d), out=both[0])
+    np.conjugate(both[0], out=both[1])
+    both[1, :, 1::2] *= -1.0
+    m, c = np.arange(rows)[:, None], np.arange(cols)
+    return both.reshape(-1)[np.where(m >= c, c * (nd - 1) + m, m * (nd - 1) + (c + nlo * nd))]
 
 
 @lru_cache(maxsize=32)
